@@ -167,14 +167,11 @@ class GameTrace:
 class GameResult:
     """Outcome of a game iteration.
 
-    `winning` is a sink over current-state bits.  `controller` is the
-    (state, control) sink of the last iteration: pairs that are
-    nonblocking and whose every successor stays inside the winning
-    region; hiding its control bits gives back `cpre(winning)`.  When
-    the trace stops on 'budget' the last iterate is returned as is; for
-    reach games every iterate under-approximates the true basin, but a
-    safe iterate interrupted before the fixed point still contains
-    states that later rounds would have removed.
+    `winning` is a sink over current-state bits: the last iterate,
+    whatever the stop reason.  `controller` is the (state, control)
+    sink of that same iterate: pairs that are nonblocking and whose
+    every successor stays inside the winning region; hiding its control
+    bits gives back `cpre(winning)`.
     """
 
     winning: Interface
@@ -237,6 +234,63 @@ class _Sweeper:
             self.level = live + self.slack
 
 
+def _iterate(game, levels, max_iters, coarsen_threshold=None):
+    """Run `game`'s iteration through a sequence of precision levels.
+
+    Each level is a `Game` with `game`'s goal and objective on dynamics
+    of some precision; the first level starts from the empty set (reach)
+    or the safe set (safe), and each later one from the region where the
+    previous level stalled.  A level ends when a step returns its input
+    ('fixed_point', which moves on to the next level), returns an
+    earlier iterate of the same level ('cycle'), or exhausts the shared
+    budget ('budget'); the last two end the whole run.  The last iterate
+    is returned with the cpre stage of that same iterate as controller.
+    """
+    m = game.m
+    xs = game.enc.all_state_vars
+    reach = game.objective == "reach"
+    fuse = "or" if reach else "and"
+    z = m.false if reach else game.goal
+    trace = GameTrace()
+    zs = [z]
+    for sub in levels:
+        seen = {z}
+        sweeper = _Sweeper(sub)
+        trace.stop_reason = "budget"
+        while len(trace.rows) < max_iters:
+            t0 = time.perf_counter()
+            pre, stage = cpre_with_controller(sub, z)
+            zn = m.apply(fuse, pre, game.goal)
+            events = 0
+            if coarsen_threshold is not None \
+                    and m.node_count(zn) > coarsen_threshold:
+                zn, events = greedy_coarsen(game, zn, coarsen_threshold)
+            dt = time.perf_counter() - t0
+            row = TraceRow(len(trace.rows) + 1, zn, m.node_count(zn),
+                           m.sat_count(zn, xs), dt, events)
+            trace.rows.append(row)
+            log.debug("iter %d: %d nodes, %d states, %.3fs, %d coarsenings",
+                      row.iteration, row.nodes, row.states, dt, events)
+            if zn == z:
+                trace.stop_reason = "fixed_point"
+                break
+            z = zn
+            if z in seen:
+                trace.stop_reason = "cycle"
+                break
+            seen.add(z)
+            zs.append(z)
+            sweeper.step(zs + [stage] + game.roots())
+        if trace.stop_reason != "fixed_point":
+            # any stage so far belongs to the iterate before `z`
+            stage = _cpre_stage(sub, z)
+            break
+    m.protect(z)
+    m.protect(stage)
+    xu = xs + game.enc.all_control_vars
+    return GameResult(sink(m, xs, z), sink(m, xu, stage), trace)
+
+
 def solve(game, max_iters=1_000_000, coarsen_threshold=None):
     """Iterate the game to a fixed point and extract a controller.
 
@@ -245,52 +299,16 @@ def solve(game, max_iters=1_000_000, coarsen_threshold=None):
     coarsening threshold the winning region is greedily downsampled
     whenever it outgrows the node budget.  Coarsening keeps every
     iterate inside the exact winning region but can drop states an
-    earlier iterate had, so the iteration is no longer monotone; it
-    stops when a step leaves the set unchanged, or on the budget.
+    earlier iterate had, so the iteration is no longer monotone and can
+    revisit an earlier iterate; it then stops with that iterate.
 
     Returns a `GameResult`; its trace rows record every iteration and
-    `stop_reason` is 'fixed_point' or 'budget'.  The winning and
-    controller predicates are pinned so that later solves on the same
-    manager cannot sweep them away; `m.unprotect` releases them once a
-    caller is done comparing results.
+    `stop_reason` is 'fixed_point', 'cycle' or 'budget'.  The winning
+    and controller predicates are pinned so that later solves on the
+    same manager cannot sweep them away; `m.unprotect` releases them
+    once a caller is done comparing results.
     """
-    m = game.m
-    enc = game.enc
-    xs = enc.all_state_vars
-    reach = game.objective == "reach"
-    z = m.false if reach else game.goal
-    controller = m.false
-    trace = GameTrace()
-    zs = [z]
-    sweeper = _Sweeper(game)
-    for it in range(1, max_iters + 1):
-        t0 = time.perf_counter()
-        pre, stage = cpre_with_controller(game, z)
-        if reach:
-            zn = m.apply("or", pre, game.goal)
-        else:
-            zn = m.apply("and", pre, game.goal)
-        events = 0
-        if coarsen_threshold is not None \
-                and m.node_count(zn) > coarsen_threshold:
-            zn, events = greedy_coarsen(game, zn, coarsen_threshold)
-        controller = stage
-        dt = time.perf_counter() - t0
-        trace.rows.append(TraceRow(it, zn, m.node_count(zn),
-                                   m.sat_count(zn, xs), dt, events))
-        log.debug("iter %d: %d nodes, %d states, %.3fs, %d coarsenings",
-                  it, trace.rows[-1].nodes, trace.rows[-1].states, dt,
-                  events)
-        if zn == z:
-            trace.stop_reason = "fixed_point"
-            break
-        z = zn
-        zs.append(z)
-        sweeper.step(zs + [controller])
-    xu = xs + enc.all_control_vars
-    m.protect(z)
-    m.protect(controller)
-    return GameResult(sink(m, xs, z), sink(m, xu, controller), trace)
+    return _iterate(game, [game], max_iters, coarsen_threshold)
 
 
 def coarsen_component(game, f, level):
@@ -343,45 +361,17 @@ def downsample_schedule(game, levels, max_iters=1_000_000):
     """
     if game.objective != "reach":
         raise BddError("downsample_schedule requires a reach game")
-    m = game.m
+    if not levels:
+        raise BddError("downsample_schedule needs at least one level")
     enc = game.enc
-    xs = enc.all_state_vars
-    z = m.false
-    trace = GameTrace()
-    controller = m.false
-    it = 0
-    zs = [z]
-    for level in levels:
+
+    def at(level):
         if isinstance(level, int):
             level = {d.name: min(level, d.bits) for d in enc.state_dims}
-        comps = [coarsen_component(game, f, level) for f in game.components]
-        sub = Game(enc, comps, game.objective, game.goal)
-        sweeper = _Sweeper(sub)
-        while it < max_iters:
-            it += 1
-            t0 = time.perf_counter()
-            pre, stage = cpre_with_controller(sub, z)
-            zn = m.apply("or", pre, game.goal)
-            controller = stage
-            dt = time.perf_counter() - t0
-            trace.rows.append(TraceRow(it, zn, m.node_count(zn),
-                                       m.sat_count(zn, xs), dt, 0))
-            if zn == z:
-                break
-            z = zn
-            zs.append(z)
-            sweeper.step(zs + [controller] + game.roots())
-        else:
-            trace.stop_reason = "budget"
-            xu = xs + enc.all_control_vars
-            m.protect(z)
-            m.protect(controller)
-            return GameResult(sink(m, xs, z), sink(m, xu, controller), trace)
-    trace.stop_reason = "fixed_point"
-    xu = xs + enc.all_control_vars
-    m.protect(z)
-    m.protect(controller)
-    return GameResult(sink(m, xs, z), sink(m, xu, controller), trace)
+        return Game(enc, [coarsen_component(game, f, level)
+                          for f in game.components], "reach", game.goal)
+    # built lazily: a level's dynamics are swept once it is done
+    return _iterate(game, map(at, levels), max_iters)
 
 
 def dump_cell_runs(enc, pred, stream):

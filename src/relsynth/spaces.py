@@ -140,38 +140,29 @@ def encode_cell(m, dim, idx, bit_vars):
                    for k, v in enumerate(bit_vars)})
 
 
-def _code_geq(m, bit_vars, k):
-    """Predicate `code >= k` over msb-first bit variables."""
-    if k <= 0:
-        return m.true
-    if k >= (1 << len(bit_vars)):
-        return m.false
-    v = m.var(bit_vars[0])
-    half = 1 << (len(bit_vars) - 1)
-    if k >= half:
-        return m.apply("and", v, _code_geq(m, bit_vars[1:], k - half))
-    return m.apply("or", v, _code_geq(m, bit_vars[1:], k))
-
-
-def _code_leq(m, bit_vars, k):
-    """Predicate `code <= k` over msb-first bit variables."""
-    if k < 0:
-        return m.false
-    if k >= (1 << len(bit_vars)) - 1:
-        return m.true
-    v = m.var(bit_vars[0])
-    half = 1 << (len(bit_vars) - 1)
-    if k < half:
-        return m.apply("and", m.apply("not", v), _code_leq(m, bit_vars[1:], k))
-    return m.apply("or", m.apply("not", v),
-                   _code_leq(m, bit_vars[1:], k - half))
-
-
 def code_range(m, bit_vars, a, b):
-    """Predicate `a <= code <= b` over msb-first bit variables."""
-    if a > b:
-        return m.false
-    return m.apply("and", _code_geq(m, bit_vars, a), _code_leq(m, bit_vars, b))
+    """Predicate `a <= code <= b` over msb-first bit variables.
+
+    Built in one top-down split of `[a, b]` over the bits, so only the
+    nodes of the result are made; the bits must follow the manager's
+    variable order.
+    """
+    levels = [m.level_of(v) for v in bit_vars]
+    if any(x >= y for x, y in zip(levels, levels[1:])):
+        raise BddError("code bits %r are not in manager order" % (bit_vars,))
+
+    def rec(k, lo, hi):
+        # codes lo..hi of the block below bit k, clipped to the block
+        size = 1 << (len(levels) - k)
+        lo, hi = max(lo, 0), min(hi, size - 1)
+        if lo > hi:
+            return m.false
+        if lo == 0 and hi == size - 1:
+            return m.true
+        half = size >> 1
+        return m._node(levels[k], rec(k + 1, lo, hi),
+                       rec(k + 1, lo - half, hi - half))
+    return rec(0, a, b)
 
 
 def encode_set(m, dim, interval, bit_vars, mode="inner"):
@@ -235,7 +226,7 @@ def discrete_domain_predicate(m, dim, bit_vars):
     """Codes that name actual values of a discrete dimension."""
     if not dim.is_discrete:
         raise BddError("domain predicate needs a discrete dimension")
-    return _code_leq(m, bit_vars, len(dim.values) - 1)
+    return code_range(m, bit_vars, 0, len(dim.values) - 1)
 
 
 def quantizer(m, fine_vars, coarse_vars, keep, input_side="coarse"):

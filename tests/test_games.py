@@ -276,16 +276,22 @@ def test_solve_budget_stops():
     m = enc.m
     f = table_component(enc, lambda x, u: [max(x - 1, 0)])
     goal = cells_pred(enc, "px", [0])
-    res = solve(Game(enc, [f], "reach", goal), max_iters=3)
+    us = enc.all_control_vars
+    reach = Game(enc, [f], "reach", goal)
+    res = solve(reach, max_iters=3)
     assert res.trace.stop_reason == "budget"
     assert res.iterations == 3
     assert res.winning.pred == cells_pred(enc, "px", [0, 1, 2])
-    res = solve(Game(enc, [f], "reach", goal), max_iters=0)
+    assert ihide(us, res.controller).pred == cpre(reach, res.winning.pred)
+    res = solve(reach, max_iters=0)
     assert res.trace.stop_reason == "budget"
     assert res.iterations == 0
     assert res.winning.pred == m.false
-    res = solve(Game(enc, [f], "safe", goal), max_iters=0)
+    assert ihide(us, res.controller).pred == cpre(reach, res.winning.pred)
+    safe = Game(enc, [f], "safe", goal)
+    res = solve(safe, max_iters=0)
     assert res.winning.pred == goal
+    assert ihide(us, res.controller).pred == cpre(safe, res.winning.pred)
 
 
 def test_step_helpers_match_direct_forms():
@@ -376,6 +382,24 @@ def test_solve_with_coarsening_stays_inside_exact_basin():
             assert row.nodes <= 1
 
 
+def test_solve_with_coarsening_stops_on_cycle():
+    # greedy coarsening makes this reach iteration return to an earlier
+    # iterate; without the cycle stop it runs until the budget
+    enc = Encoding([Dimension.continuous("px", 0.0, 1.0, 3),
+                    Dimension.continuous("py", 0.0, 1.0, 2)],
+                   [Dimension.discrete("u", (0.0, 1.0))])
+    m = enc.m
+    xs, us, ns = enc.all_state_vars, enc.all_control_vars, enc.all_next_vars
+    rng = random.Random(13)
+    f = Interface(m, xs + us, ns, rand_pred(m, rng, xs + us + ns, 16))
+    game = Game(enc, [f], "reach", rand_pred(m, rng, xs, 6))
+    res = solve(game, max_iters=40, coarsen_threshold=1)
+    assert res.trace.stop_reason == "cycle"
+    assert m.leq(res.winning.pred, solve(game).winning.pred)
+    assert res.trace.rows[-1].z == res.winning.pred
+    assert ihide(us, res.controller).pred == cpre(game, res.winning.pred)
+
+
 def test_coarsen_component_full_level_is_identity():
     rng = random.Random(79)
     enc = small_encoding()
@@ -416,11 +440,14 @@ def test_downsample_schedule_matches_plain_solve():
     plain = solve(game)
     staged = downsample_schedule(game, [1, 2, {}])
     assert staged.winning.pred == plain.winning.pred
+    assert staged.controller.pred == plain.controller.pred
     assert staged.trace.stop_reason == "fixed_point"
     clipped = downsample_schedule(game, [1, 2, {}], max_iters=2)
     assert clipped.trace.stop_reason == "budget"
     with pytest.raises(BddError):
         downsample_schedule(Game(enc, [f], "safe", goal), [{}])
+    with pytest.raises(BddError):
+        downsample_schedule(game, [])
 
 
 def test_game_validation():

@@ -133,6 +133,8 @@ def test_code_range_brute_force():
                if m.eval(f, {v: bool((i >> (4 - k)) & 1)
                              for k, v in enumerate(vs)})}
         assert got == want
+    with pytest.raises(BddError):
+        code_range(m, vs[::-1], 0, 3)
 
 
 def test_encode_set_frozen_values():
