@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from relsynth.bdd import BDD, BddError, CapacityError
+from relsynth.bdd import _MAX_NODES, BDD, BddError, CapacityError
 from util import (assignments, build_expr, expr_table, rand_expr, rand_pred,
                   truth_table)
 
@@ -265,6 +265,9 @@ def test_serialization_errors():
         m.from_text("\n".join([lines[0]] + lines[2:]))
     with pytest.raises(BddError):
         m.from_text(text.replace(" a ", " z "))  # unknown variable
+    with pytest.raises(BddError):
+        # a child above its parent: `b ? a : 0` is `a and b` out of order
+        m.from_text("vars: a b\n2 a 0 1\n3 b 0 2\nroot 3\n")
 
 
 def test_sat_runs():
@@ -323,3 +326,55 @@ def test_capacity_error():
     with pytest.raises(CapacityError):
         for _ in range(200):
             rand_pred(m, rng, names, 30)
+    # the cap must fit the 28-bit handle packing
+    for cap in (0, -1, _MAX_NODES + 1, "40"):
+        with pytest.raises(BddError):
+            BDD(["a"], cap=cap)
+    assert BDD(["a"], cap=_MAX_NODES).var("a") == 2
+    with pytest.raises(CapacityError):
+        BDD(["a"], cap=2).var("a")
+
+
+def test_kernels_match_table_oracle_after_sweep():
+    # the kernels are closures over the store; a sweep empties and refills
+    # it in place and leaves free slots that later nodes reuse
+    names = ["v%d" % i for i in range(6)]
+    m = BDD(names)
+    rng = random.Random(113)
+    cubes = [rng.sample(names, i % 4) for i in range(12)]
+
+    def check(w):
+        ef, eg = rand_expr(rng, names, 12), rand_expr(rng, names, 12)
+        f, g = build_expr(m, ef), build_expr(m, eg)
+        tf, tg = expr_table(ef, names), expr_table(eg, names)
+        assert truth_table(m, f, names) == tf
+        assert truth_table(m, g, names) == tg
+        for op, fn in (("and", lambda a, b: a and b),
+                       ("or", lambda a, b: a or b),
+                       ("xor", lambda a, b: a != b)):
+            want = tuple(fn(a, b) for a, b in zip(tf, tg))
+            assert truth_table(m, m.apply(op, f, g), names) == want
+        want = tuple(not a for a in tf)
+        assert truth_table(m, m.apply("not", f), names) == want
+        ops = {"exists": m.exists(w, f), "forall": m.forall(w, f),
+               "and_exists": m.and_exists(w, f, g),
+               "implies_forall": m.implies_forall(w, f, g)}
+        rest = [x for x in names if x not in w]
+        for asg in assignments(rest):
+            rows = [{**asg, **wasg} for wasg in assignments(w)]
+            fv = [m.eval(f, r) for r in rows]
+            gv = [m.eval(g, r) for r in rows]
+            want = {"exists": any(fv), "forall": all(fv),
+                    "and_exists": any(a and b for a, b in zip(fv, gv)),
+                    "implies_forall": all(not a or b
+                                          for a, b in zip(fv, gv))}
+            for name, h in ops.items():
+                assert m.eval(h, asg) == want[name], (name, w)
+
+    for w in cubes:
+        check(w)
+    keep = rand_pred(m, rng, names, 16)
+    _, freed = m.sweep([keep])
+    assert freed > 0
+    for w in cubes:
+        check(w)

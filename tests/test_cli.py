@@ -132,6 +132,10 @@ def test_config_errors_exit_2(tmp_path):
     bad.write_text("plan: {kind: random_rects, sizes: [3]}\n")
     assert main(["abstract", "--config", str(bad)]) == 2
     assert main(["solve", "--config", str(tmp_path / "absent.yaml")]) == 2
+    # a node cap beyond what 28-bit handles can address
+    cap = write_config(tmp_path / "cap.yaml", cap=1 << 28,
+                       out=str(tmp_path / "rc"))
+    assert main(["abstract", "--config", cap]) == 2
     good = write_config(tmp_path / "ok.yaml", out=str(tmp_path / "r"))
     assert main(["solve", "--config", good,
                  str(tmp_path / "nofile.txt")]) == 2
@@ -151,6 +155,24 @@ def test_node_cap_exits_3(tmp_path):
     cfg = write_config(tmp_path / "c.yaml", bits=4, cap=60,
                        out=str(tmp_path / "run"))
     assert main(["abstract", "--config", cfg]) == 3
+
+
+def test_out_of_order_interface_file_exits_2(tmp_path):
+    toy = {"system": "toy1d",
+           "objective": {"kind": "reach", "box": {"x": [0.25, 0.5]},
+                         "encode": "inner"}}
+    cfg = write_config(tmp_path / "c.yaml", out=str(tmp_path / "abs"), **toy)
+    assert main(["abstract", "--config", cfg]) == 0
+    lines = (tmp_path / "abs" / "interface_hold.txt").read_text().splitlines()
+    root = int(lines[-1].split()[1])
+    assert lines[-2].split()[:2] == [str(root), "x_0"]
+    # a new root on x+_2 whose child sits on x_0, above it in the order
+    lines[-1:] = ["%d x+_2 0 %d" % (root + 1, root), "root %d" % (root + 1)]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    cfg2 = write_config(tmp_path / "c2.yaml", out=str(tmp_path / "run"),
+                        **toy)
+    assert main(["solve", "--config", cfg2, str(bad)]) == 2
 
 
 def test_unknown_experiment_rejected(tmp_path):
