@@ -2,19 +2,20 @@
 
 A dynamics component is sampled over boxes of its input space; interval
 arithmetic produces a guaranteed superset of the successors, and both
-sides are coarsened onto the bit grid.  Boxes and grid cells share
+sides are coarsened onto the bit grid by `spaces.cell_range`, the one
+routine that maps intervals to cells.  Boxes and grid cells share
 half-open `[lo, hi)` semantics: the input predicate covers exactly the
-cells a box intersects, the evaluator runs on the closure of those
-cells (so every accepted cell's concrete points are accounted for),
-and the successor interval is read back as right-open.  Treating the
-evaluator's upper bound as excluded is sound whenever no covered point
-attains it exactly on a cell boundary; the built-in vehicle components
-guarantee this because each is strictly increasing in its own state
-coordinate, so the supremum over a half-open input range is never
-reached.  Samples merge through shared refinement starting from the
-universal abstraction; because each sample soundly over-approximates
-the same concrete map, overlapping or misaligned boxes always satisfy
-the shared-refinability condition.
+cells a box intersects (`box`), the evaluator runs on the closure of
+those cells (so every accepted cell's concrete points are accounted
+for), and the successor interval is read back as right-open (`succ`).
+Treating the evaluator's upper bound as excluded is sound whenever no
+covered point attains it exactly on a cell boundary; the built-in
+vehicle components guarantee this because each is strictly increasing
+in its own state coordinate, so the supremum over a half-open input
+range is never reached.  Samples merge through shared refinement
+starting from the universal abstraction; because each sample soundly
+over-approximates the same concrete map, overlapping or misaligned
+boxes always satisfy the shared-refinability condition.
 
 For input-output samples `I_k and O_k` the refinement fold has the
 closed form
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 
 from relsynth.bdd import BddError
 from relsynth.interfaces import Interface
-from relsynth.spaces import (Dimension, _iceil, _ifloor, cell_box,
-                             code_range, encode_set)
+from relsynth.spaces import (Dimension, cell_box, cell_range, code_range,
+                             encode_set)
 
 DUBINS_LENGTH = 1.4
 
@@ -207,86 +208,30 @@ def _signature(comp, enc):
     return ins, enc.next_vars(comp.output)
 
 
-def _input_cells(m, d, k, interval, bit_vars):
-    """Grid cells a box intersects, plus their snapped closure.
-
-    Boxes are half-open like the cells themselves, so a box ending on a
-    boundary does not touch the cell to its right.  Returns (predicate,
-    (lo, hi)) where the interval is the union of the covered cells -
-    the box the evaluator must run on for every accepted cell's points
-    to be covered - or None when the box misses the grid entirely.
-    """
-    vd = _view_dim(d, k)
-    w = vd.width
-    a, b = interval
-    if d.periodic:
-        period = d.period
-        if b - a >= period:
-            return m.true, (d.lo, d.hi)
-        width = b - a
-        a = d.lo + (a - d.lo) % period
-        b = a + width
-        ia = _ifloor((a - d.lo) / w)
-        ib = _iceil((b - d.lo) / w) - 1
-        if ib < ia:
-            return None
-        if ib - ia + 1 >= vd.cells:
-            return m.true, (d.lo, d.hi)
-        snapped = (d.lo + ia * w, d.lo + (ib + 1) * w)
-        if ib < vd.cells:
-            return code_range(m, bit_vars, ia, ib), snapped
-        wrapped = m.apply("or",
-                          code_range(m, bit_vars, ia, vd.cells - 1),
-                          code_range(m, bit_vars, 0, ib - vd.cells))
-        return wrapped, snapped
-    if a < d.lo - 1e-9 or b > d.hi + 1e-9:
-        raise BddError("input box for %s is outside its domain" % d.name)
-    ia = max(_ifloor((a - d.lo) / w), 0)
-    ib = min(_iceil((b - d.lo) / w) - 1, vd.cells - 1)
-    if ib < ia:
-        return None
-    snapped = (d.lo + ia * w, min(d.lo + (ib + 1) * w, d.hi))
-    return code_range(m, bit_vars, ia, ib), snapped
-
-
-def _output_cells(m, d, k, interval, bit_vars):
-    """Grid cells covered by a right-open successor interval.
-
-    The interval is read as `[lo, hi)` on the same half-open grid as
-    the cells, except that a degenerate point interval keeps the cell
-    containing its value.  Successors leaving a non-periodic domain
-    make the sample blocking: returns None.
-    """
-    vd = _view_dim(d, k)
-    w = vd.width
-    a, b = interval
-    if d.periodic:
-        period = d.period
-        if b - a >= period:
-            return m.true
-        width = b - a
-        a = d.lo + (a - d.lo) % period
-        b = a + width
-        ia = _ifloor((a - d.lo) / w)
-        ib = max(_iceil((b - d.lo) / w) - 1, ia)
-        if ib - ia + 1 >= vd.cells:
-            return m.true
-        if ib < vd.cells:
-            return code_range(m, bit_vars, ia, ib)
-        return m.apply("or",
-                       code_range(m, bit_vars, ia, vd.cells - 1),
-                       code_range(m, bit_vars, 0, ib - vd.cells))
-    if a < d.lo or b > d.hi:
-        return None
-    ia = max(_ifloor((a - d.lo) / w), 0)
-    ib = min(_iceil((b - d.lo) / w) - 1, vd.cells - 1)
-    ib = max(ib, ia)
-    return code_range(m, bit_vars, ia, ib)
+def _range_pred(m, vd, rng, bit_vars):
+    """Predicate of a `cell_range` result: None is no cell, a whole turn
+    of a periodic dimension is every cell, and a range that passes the
+    last cell wraps on to the first."""
+    if rng is None:
+        return m.false
+    i, j = rng
+    if vd.periodic and j - i + 1 == vd.cells:
+        return m.true
+    if j < vd.cells:
+        return code_range(m, bit_vars, i, j)
+    return m.apply("or", code_range(m, bit_vars, i, vd.cells - 1),
+                   code_range(m, bit_vars, 0, j - vd.cells))
 
 
 def _sample_parts(comp, box, enc):
     """(input predicate, output predicate) of one sample, None if the
-    box covers no cell or the successors escape the output domain."""
+    box covers no cell or the successors escape the output domain.
+
+    The evaluator runs on the union of the cells the box covers, so
+    every accepted cell's points are accounted for.  A successor that
+    starts within the snap of the top of a plain domain covers no cell
+    and allows no successor.
+    """
     m = enc.m
     if set(box) != set(comp.input_names()):
         raise BddError("sample box must cover exactly %s"
@@ -307,19 +252,26 @@ def _sample_parts(comp, box, enc):
                 ev_box[name] = lo
                 cells = encode_set(m, d, (lo, hi), bit_vars, "outer")
             else:
-                k = comp.view_bits(d)
-                got = _input_cells(m, d, k, (lo, hi), bit_vars[:k])
-                if got is None:
+                if not d.periodic and (lo < d.lo - 1e-9 or hi > d.hi + 1e-9):
+                    raise BddError("input box for %s is outside its domain"
+                                   % name)
+                vd = _view_dim(d, comp.view_bits(d))
+                rng = cell_range(vd, (lo, hi), "box")
+                if rng is None:
                     return None
-                cells, ev_box[name] = got
+                i, j = rng
+                cells = _range_pred(m, vd, rng, bit_vars[:vd.bits])
+                ev_box[name] = (d.lo + i * vd.width,
+                                d.hi if j + 1 == vd.cells
+                                else d.lo + (j + 1) * vd.width)
             ipred = m.apply("and", ipred, cells)
-    out = _as_interval(comp.evaluator(ev_box))
+    a, b = _as_interval(comp.evaluator(ev_box))
     d = enc.dims[comp.output]
-    k = comp.view_bits(d)
-    opred = _output_cells(m, d, k, out, enc.next_vars(comp.output)[:k])
-    if opred is None:
+    vd = _view_dim(d, comp.view_bits(d))
+    if not d.periodic and (a < d.lo or b > d.hi):
         return None
-    return ipred, opred
+    return ipred, _range_pred(m, vd, cell_range(vd, (a, b), "succ"),
+                              enc.next_vars(comp.output)[:vd.bits])
 
 
 def sample_to_interface(comp, box, enc):
@@ -346,8 +298,9 @@ class Exhaustive:
     """Every grid cell of every input dimension, once.
 
     `bits` optionally coarsens the sampling grid per dimension; the
-    default samples at each dimension's view precision.  Discrete
-    controls enumerate their values.
+    default samples at each dimension's view precision.  Its names must
+    be dimensions of the encoding, and a component ignores the names it
+    does not read.  Discrete controls enumerate their values.
     """
 
     bits: dict = None
@@ -372,10 +325,13 @@ class ShiftedGrids:
 
 
 def _exhaustive_axes(comp, plan, enc):
-    unknown = set(plan.bits or ()) - set(comp.input_names())
-    if unknown:
-        raise BddError("plan bits name no input of %s: %s"
-                       % (comp.name, sorted(unknown)))
+    bits = plan.bits or {}
+    for name, k in bits.items():
+        d = enc.dims.get(name)
+        if d is None:
+            raise BddError("plan bits name no dimension: %r" % (name,))
+        if not d.is_discrete and not 0 <= k <= d.bits:
+            raise BddError("plan bits %r out of range for %s" % (k, name))
     axes = []
     for role, names in (("state", comp.state_inputs),
                         ("control", comp.control_inputs)):
@@ -384,13 +340,7 @@ def _exhaustive_axes(comp, plan, enc):
             if d.is_discrete:
                 axes.append([(v, v) for v in d.values])
                 continue
-            k = comp.view_bits(d)
-            if plan.bits and name in plan.bits:
-                k = plan.bits[name]
-                if not 0 <= k <= d.bits:
-                    raise BddError("plan bits %r out of range for %s"
-                                   % (k, name))
-            vd = _view_dim(d, k)
+            vd = _view_dim(d, bits.get(name, comp.view_bits(d)))
             axes.append([cell_box(vd, i) for i in range(vd.cells)])
     return axes
 

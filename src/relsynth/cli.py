@@ -26,7 +26,7 @@ from relsynth.abstraction import (DynamicsComponent, Exhaustive, RandomRects,
 from relsynth.bdd import BddError, CapacityError
 from relsynth.games import Game, downsample_schedule, dump_cell_runs, solve
 from relsynth.interfaces import comp, load_interface, save_interface
-from relsynth.spaces import Dimension, Encoding, encode_set
+from relsynth.spaces import Dimension, Encoding
 
 
 class ConfigError(Exception):
@@ -105,6 +105,14 @@ def load_config(path, overrides=None):
     return cfg
 
 
+def _check_bit_map(counts, what):
+    _require(counts is None or isinstance(counts, dict),
+             "%s must map dimension names to bit counts" % what)
+    for name, b in (counts or {}).items():
+        _require(isinstance(b, int) and b >= 0,
+                 "%s for %s must be a nonnegative integer" % (what, name))
+
+
 def _validate(cfg):
     _require(cfg["system"] in ("dubins", "toy1d", "custom"),
              "system must be dubins, toy1d or custom")
@@ -122,14 +130,35 @@ def _validate(cfg):
     _require(plan["kind"] in _PLAN_KEYS,
              "plan kind must be one of %s" % sorted(_PLAN_KEYS))
     _check_keys(plan, _PLAN_KEYS[plan["kind"]], "plan")
+    _check_bit_map(plan.get("bits"), "plan bits")
+    _check_bit_map(cfg["view"], "view")
+    sizes = plan.get("sizes", [4, 5])
+    _require(isinstance(sizes, (list, tuple)) and sizes
+             and all(isinstance(x, int) for x in sizes),
+             "plan sizes must be a nonempty list of integers")
+    _require(isinstance(plan.get("seed", 0), int),
+             "plan seed must be an integer")
+    length = cfg["length"]
+    _require(isinstance(length, (int, float)) and 0 < length < math.inf,
+             "length must be a positive number")
+    _require(isinstance(cfg["out"], str), "out must be a directory path")
     obj = cfg["objective"]
+    _require(isinstance(obj, dict) and isinstance(cfg["solver"], dict),
+             "objective and solver must be mappings")
     _check_keys(obj, {"kind", "box", "encode"}, "objective")
     _require(obj.get("kind") in ("reach", "safe"),
              "objective kind must be reach or safe")
     _require(obj.get("encode", "inner") in ("inner", "outer"),
              "objective encode must be inner or outer")
-    _require(isinstance(obj.get("box", {}), dict),
+    box = obj.get("box", {})
+    _require(isinstance(box, dict),
              "objective box must map dimension names to [lo, hi]")
+    for name, iv in box.items():
+        _require(isinstance(iv, (list, tuple)) and len(iv) == 2
+                 and all(isinstance(x, (int, float)) and math.isfinite(x)
+                         for x in iv),
+                 "objective box for %s must be [lo, hi] with finite "
+                 "numbers" % name)
     sol = cfg["solver"]
     _check_keys(sol, {"max_iters", "coarsen_threshold", "downsample"},
                 "solver")
@@ -231,33 +260,21 @@ def build_plan(cfg):
         _require(isinstance(count, int) and count >= 0,
                  "plan count must be a nonnegative integer")
         return RandomRects(count, seed=plan.get("seed", cfg["seed"]))
-    sizes = plan.get("sizes", [4, 5])
-    _require(isinstance(sizes, (list, tuple)) and sizes,
-             "plan sizes must be a nonempty list")
-    return ShiftedGrids(tuple(sizes))
+    return ShiftedGrids(tuple(plan.get("sizes", [4, 5])))
 
 
 def build_goal(cfg, enc):
     """State predicate for the objective box (unnamed dims stay free)."""
     obj = cfg["objective"]
-    m = enc.m
-    goal = m.true
-    for name, iv in sorted(obj.get("box", {}).items()):
-        if name not in enc.dims or enc.dims[name].is_discrete \
-                or name not in {d.name for d in enc.state_dims}:
-            raise ConfigError("objective box names no state dim: %r" % name)
-        _require(isinstance(iv, (list, tuple)) and len(iv) == 2,
-                 "objective box for %s must be [lo, hi]" % name)
-        try:
-            cells = encode_set(m, enc.dims[name], (float(iv[0]), float(iv[1])),
-                               enc.state_vars(name),
-                               obj.get("encode", "inner"))
-        except CapacityError:
-            raise
-        except BddError as e:
-            raise ConfigError(str(e))
-        goal = m.apply("and", goal, cells)
-    return goal
+    box = obj.get("box", {})
+    try:
+        return enc.state_box({name: tuple(map(float, box[name]))
+                              for name in sorted(box)},
+                             obj.get("encode", "inner"))
+    except CapacityError:
+        raise
+    except BddError as e:
+        raise ConfigError("objective box: %s" % e)
 
 
 def _out_dir(cfg):

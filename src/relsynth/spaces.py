@@ -11,8 +11,15 @@ Conventions used throughout the package:
 - cells are half-open `[c, c + w)`; a point on a boundary belongs to the
   cell on its right, and the top endpoint of a non-periodic domain
   belongs to the last cell;
-- `inner` set encodings keep the cells entirely inside an interval,
-  `outer` encodings keep every cell the interval meets.
+- `cell_range` is the one place where a continuous interval lands on
+  cells, and it reads the interval in one of four ways:
+  - `inner`: the cells inside the closed interval;
+  - `outer`: the cells the closed interval touches;
+  - `box`: the cells a half-open input box `[a, b)` meets;
+  - `succ`: the cells of a right-open successor interval, read like
+    `box` except that a point keeps its own cell;
+- on every side, an interval end whose cell coordinate is within a
+  relative 1e-9 of a whole number is snapped onto that cell boundary.
 """
 
 import math
@@ -165,6 +172,46 @@ def code_range(m, bit_vars, a, b):
     return rec(0, a, b)
 
 
+def cell_range(dim, interval, side):
+    """Cell range `(i, j)` of a continuous dimension, or None if empty.
+
+    `side` is `inner`, `outer`, `box` or `succ` (see the module notes).
+    On periodic dimensions `a > b` crosses the seam, a whole turn gives
+    every cell, and `j` may pass the last cell, in which case the range
+    wraps on to the first.  On plain ones the range is clipped to the
+    grid; checking the interval against the domain is the caller's job.
+    Ends within the snap tolerance of a cell boundary count as on it.
+    A point box meets the cell it lies strictly inside, and a point
+    successor keeps the cell that holds it.
+    """
+    a, b = interval
+    cells, w = dim.cells, dim.width
+    if dim.periodic:
+        if b - a >= dim.period:
+            return 0, cells - 1
+        width = (b - a) % dim.period
+        a = dim.lo + (a - dim.lo) % dim.period
+        b = a + width
+    ta, tb = (a - dim.lo) / w, (b - dim.lo) / w
+    if side == "inner":
+        i, j = _iceil(ta), _ifloor(tb) - 1
+    elif side == "outer":
+        i, j = _ifloor(ta), _ifloor(tb)
+    elif side in ("box", "succ"):
+        i, j = _ifloor(ta), _iceil(tb) - 1
+        if side == "succ":
+            j = max(j, i)
+    else:
+        raise BddError("side must be inner, outer, box or succ")
+    if not dim.periodic:
+        i, j = max(i, 0), min(j, cells - 1)
+    elif j - i + 1 >= cells:
+        return 0, cells - 1
+    elif i >= cells:
+        i, j = i - cells, j - cells
+    return (i, j) if i <= j else None
+
+
 def encode_set(m, dim, interval, bit_vars, mode="inner"):
     """Cells of `dim` covered by (`inner`) or touching (`outer`) `interval`.
 
@@ -184,42 +231,19 @@ def encode_set(m, dim, interval, bit_vars, mode="inner"):
         return f
     if math.isnan(a) or math.isnan(b):
         raise BddError("interval endpoint is NaN")
-    if dim.periodic:
-        lo, period = dim.lo, dim.period
-        if b - a >= period:
-            return m.true
-        a = lo + (a - lo) % period
-        b = lo + (b - lo) % period
-        if a > b:
-            # interval crosses the seam; bins align with it, so no cell does
-            w = dim.width
-            ta = (a - lo) / w
-            tb = (b - lo) / w
-            if mode == "inner":
-                upper = code_range(m, bit_vars, _iceil(ta), dim.cells - 1)
-                lower = code_range(m, bit_vars, 0, _ifloor(tb) - 1)
-            else:
-                upper = code_range(m, bit_vars, _ifloor(ta), dim.cells - 1)
-                lower = code_range(m, bit_vars, 0,
-                                   min(_ifloor(tb), dim.cells - 1))
-            return m.apply("or", upper, lower)
-    else:
+    if not dim.periodic:
         if a > b:
             raise BddError("interval %r is inverted" % ((a, b),))
         if a < dim.lo - 1e-9 or b > dim.hi + 1e-9:
             raise BddError("interval %r outside the domain" % ((a, b),))
-    w = dim.width
-    ta = (a - dim.lo) / w
-    tb = (b - dim.lo) / w
-    if mode == "inner":
-        i_lo = _iceil(ta)
-        i_hi = _ifloor(tb) - 1
-    else:
-        i_lo = _ifloor(ta)
-        i_hi = _ifloor(tb)
-    i_lo = max(i_lo, 0)
-    i_hi = min(i_hi, dim.cells - 1)
-    return code_range(m, bit_vars, i_lo, i_hi)
+    rng = cell_range(dim, (a, b), mode)
+    if rng is None:
+        return m.false
+    i, j = rng
+    if j < dim.cells:
+        return code_range(m, bit_vars, i, j)
+    return m.apply("or", code_range(m, bit_vars, i, dim.cells - 1),
+                   code_range(m, bit_vars, 0, j - dim.cells))
 
 
 def discrete_domain_predicate(m, dim, bit_vars):

@@ -5,7 +5,9 @@ import os
 import pytest
 import yaml
 
-from relsynth.cli import (ConfigError, cmd_experiment, load_config, main)
+from relsynth.cli import (ConfigError, build_system, cmd_experiment,
+                          load_config, main)
+from relsynth.interfaces import load_interface
 
 
 def write_config(path, **extra):
@@ -136,9 +138,45 @@ def test_config_errors_exit_2(tmp_path):
     cap = write_config(tmp_path / "cap.yaml", cap=1 << 28,
                        out=str(tmp_path / "rc"))
     assert main(["abstract", "--config", cap]) == 2
+    # malformed values are configuration errors, not tracebacks
+    for extra in ({"objective": {"kind": "reach",
+                                 "box": {"px": ["abc", 1]}}},
+                  {"plan": {"kind": "exhaustive", "bits": 3}},
+                  {"plan": {"kind": "exhaustive", "bits": {"px": "two"}}},
+                  {"plan": {"kind": "shifted_grids", "sizes": ["a"]}},
+                  {"view": {"px": "a"}},
+                  {"length": "abc"},
+                  {"objective": 3}):
+        cfg = write_config(tmp_path / "m.yaml", out=str(tmp_path / "rm"),
+                           **extra)
+        assert main(["solve", "--config", cfg]) == 2, extra
     good = write_config(tmp_path / "ok.yaml", out=str(tmp_path / "r"))
     assert main(["solve", "--config", good,
                  str(tmp_path / "nofile.txt")]) == 2
+
+
+def test_plan_bits_may_name_one_component_input(tmp_path):
+    """Plan bits name dimensions of the system; a component ignores the
+    names it does not read."""
+    outs = {}
+    for tag, plan in (("plain", {"kind": "exhaustive"}),
+                      ("px2", {"kind": "exhaustive", "bits": {"px": 2}})):
+        cfg = write_config(tmp_path / ("%s.yaml" % tag), bits=4, plan=plan,
+                           out=str(tmp_path / tag))
+        assert main(["abstract", "--config", cfg]) == 0
+        outs[tag] = {}
+    enc, _ = build_system(load_config(cfg))  # one manager for all six
+    for tag in outs:
+        for name in ("px", "py", "theta"):
+            with open(tmp_path / tag / ("interface_%s.txt" % name)) as fh:
+                outs[tag][name] = load_interface(enc.m, fh)[0].pred
+    assert outs["px2"]["py"] == outs["plain"]["py"]
+    assert outs["px2"]["theta"] == outs["plain"]["theta"]
+    assert outs["px2"]["px"] != outs["plain"]["px"]
+    cfg = write_config(tmp_path / "pz.yaml", bits=4,
+                       plan={"kind": "exhaustive", "bits": {"pz": 2}},
+                       out=str(tmp_path / "pz"))
+    assert main(["abstract", "--config", cfg]) == 2
 
 
 def test_bits_mismatch_between_files_and_config(tmp_path):

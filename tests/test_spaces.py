@@ -7,9 +7,10 @@ import pytest
 
 from relsynth.bdd import BDD, BddError
 from relsynth.interfaces import is_refinement
-from relsynth.spaces import (Dimension, Encoding, cell_box, code_range,
-                             discrete_domain_predicate, encode_cell,
-                             encode_set, point_cell, quantizer, value_cell)
+from relsynth.spaces import (Dimension, Encoding, cell_box, cell_range,
+                             code_range, discrete_domain_predicate,
+                             encode_cell, encode_set, point_cell, quantizer,
+                             value_cell)
 
 
 def bits_vars(m, dim, prefix="x"):
@@ -206,6 +207,99 @@ def test_encode_set_edge_cases():
     wrap = encode_set(m, t, (math.pi / 2, -math.pi / 2 - 0.01), vs, "outer")
     assert pred_cells(m, t, vs, wrap) == \
         cells_by_enumeration(t, math.pi / 2, -math.pi / 2 - 0.01, "outer")
+    # an end within the snap of the seam is read as on the seam, on
+    # either side of it: the closed interval touches the first cell too
+    t3 = Dimension.continuous("t", -math.pi, math.pi, 3, periodic=True)
+    vs3 = vs[:3]
+    for b in (math.pi - 1e-11, math.pi, math.pi + 1e-11):
+        f = encode_set(m, t3, (2.5, b), vs3, "outer")
+        assert pred_cells(m, t3, vs3, f) == {0, 7}, b
+
+
+def _t(x, dim):
+    """Cell coordinate of `x`, moved onto a boundary within 1e-6 of it."""
+    t = (x - dim.lo) / dim.width
+    return round(t) if abs(t - round(t)) < 1e-6 else t
+
+
+def cells_by_points(dim, a, b, side):
+    """Oracle: the cells `cell_range` must give, by point membership.
+
+    Works in cell coordinates, where cell `i` is `[i, i + 1)` and, on a
+    periodic dimension, repeats every `cells`; the interval is unrolled
+    to `[A, A + width]`.  `inner` keeps a cell whose closure lies in
+    `[A, B]`, `outer` one that holds a point of `[A, B]`, `box` one that
+    holds a point of `[A, B)`, and `succ` reads like `box`.  A point
+    interval keeps the cell it lies strictly inside (`box`) or the cell
+    that holds it (`succ`).
+    """
+    n = dim.cells
+    if dim.periodic:
+        if b - a >= dim.period:
+            return set(range(n))
+        A = _t(dim.lo + (a - dim.lo) % dim.period, dim)
+        B = _t(dim.lo + A * dim.width + (b - a) % dim.period, dim)
+        copies = (0, n)
+    else:
+        A, B = _t(a, dim), _t(b, dim)
+        copies = (0,)
+    out = set()
+    for i in range(n):
+        for c0 in (i + k for k in copies):
+            x = max(A, c0)   # the leftmost point of the interval in the cell
+            if side == "inner":
+                hit = A <= c0 and c0 + 1 <= B
+            elif side == "outer":
+                hit = x < c0 + 1 and x <= B
+            elif A == B:
+                hit = (c0 <= A if side == "succ" else c0 < A) and A < c0 + 1
+            else:
+                hit = x < c0 + 1 and x < B
+            if hit:
+                out.add(i)
+    return out
+
+
+def range_cells(dim, rng):
+    if rng is None:
+        return set()
+    i, j = rng
+    assert 0 <= i < dim.cells and i <= j < i + dim.cells
+    assert dim.periodic or j < dim.cells
+    return {k % dim.cells for k in range(i, j + 1)}
+
+
+def test_cell_range_against_point_oracle():
+    rng = random.Random(204)
+    full = [Dimension.continuous("x", -2.0, 2.0, 5),
+            Dimension.continuous("t", -math.pi, math.pi, 5, periodic=True),
+            Dimension.continuous("y", 0.3, 1.7, 4, periodic=True)]
+    # the same domains at a reduced view of 2 bits, with ends still
+    # drawn on the full-precision grid
+    views = [Dimension(d.name, 2, d.lo, d.hi, d.periodic) for d in full]
+    for d, grid in list(zip(full, full)) + list(zip(views, full)):
+        edges = [grid.lo + i * grid.width for i in range(grid.cells + 1)]
+
+        def end():
+            if rng.random() < 0.7:
+                return rng.choice(edges) + rng.choice((-1e-11, 0, 1e-11))
+            x = rng.uniform(d.lo, d.hi)   # redrawn if near a boundary
+            return x if _t(x, grid) != round(_t(x, grid)) else end()
+        for _ in range(400):
+            a, b = end(), end()
+            if d.periodic:
+                shift = rng.choice((-1, 0, 0, 1)) * d.period
+                a, b = a + shift, b + rng.choice((0, 0, 1)) * d.period
+            else:
+                a, b = min(a, b), max(a, b)
+                a, b = max(a, d.lo), min(b, d.hi)
+            if rng.random() < 0.1:
+                b = a
+            for side in ("inner", "outer", "box", "succ"):
+                assert range_cells(d, cell_range(d, (a, b), side)) == \
+                    cells_by_points(d, a, b, side), (d, a, b, side)
+    with pytest.raises(BddError):
+        cell_range(full[0], (0.0, 1.0), "closed")
 
 
 def test_encode_set_discrete():
