@@ -4,10 +4,12 @@ A dynamics component is sampled over boxes of its input space; interval
 arithmetic produces a guaranteed superset of the successors, and both
 sides are coarsened onto the bit grid by `spaces.cell_range`, the one
 routine that maps intervals to cells.  Boxes and grid cells share
-half-open `[lo, hi)` semantics: the input predicate covers exactly the
-cells a box intersects (`box`), the evaluator runs on the closure of
-those cells (so every accepted cell's concrete points are accounted
-for), and the successor interval is read back as right-open (`succ`).
+half-open `[lo, hi)` semantics, and both sides are read alike
+(`half_open`): the input predicate covers exactly the cells a box
+intersects, the evaluator runs on the closure of those cells (so every
+accepted cell's concrete points are accounted for), and the successor
+interval is read back as right-open.  A point, as a box or as a
+successor, keeps the cell that holds it.
 Treating the evaluator's upper bound as excluded is sound whenever no
 covered point attains it exactly on a cell boundary; the built-in
 vehicle components guarantee this because each is strictly increasing
@@ -37,8 +39,7 @@ from dataclasses import dataclass
 
 from relsynth.bdd import BddError
 from relsynth.interfaces import Interface
-from relsynth.spaces import (Dimension, cell_box, cell_range, code_range,
-                             encode_set)
+from relsynth.spaces import Dimension, cell_range, code_range, encode_set
 
 DUBINS_LENGTH = 1.4
 
@@ -228,9 +229,7 @@ def _sample_parts(comp, box, enc):
     box covers no cell or the successors escape the output domain.
 
     The evaluator runs on the union of the cells the box covers, so
-    every accepted cell's points are accounted for.  A successor that
-    starts within the snap of the top of a plain domain covers no cell
-    and allows no successor.
+    every accepted cell's points are accounted for.
     """
     m = enc.m
     if set(box) != set(comp.input_names()):
@@ -256,7 +255,7 @@ def _sample_parts(comp, box, enc):
                     raise BddError("input box for %s is outside its domain"
                                    % name)
                 vd = _view_dim(d, comp.view_bits(d))
-                rng = cell_range(vd, (lo, hi), "box")
+                rng = cell_range(vd, (lo, hi), "half_open")
                 if rng is None:
                     return None
                 i, j = rng
@@ -270,7 +269,7 @@ def _sample_parts(comp, box, enc):
     vd = _view_dim(d, comp.view_bits(d))
     if not d.periodic and (a < d.lo or b > d.hi):
         return None
-    return ipred, _range_pred(m, vd, cell_range(vd, (a, b), "succ"),
+    return ipred, _range_pred(m, vd, cell_range(vd, (a, b), "half_open"),
                               enc.next_vars(comp.output)[:vd.bits])
 
 
@@ -324,57 +323,24 @@ class ShiftedGrids:
     sizes: tuple
 
 
-def _exhaustive_axes(comp, plan, enc):
-    bits = plan.bits or {}
-    for name, k in bits.items():
-        d = enc.dims.get(name)
-        if d is None:
-            raise BddError("plan bits name no dimension: %r" % (name,))
-        if not d.is_discrete and not 0 <= k <= d.bits:
-            raise BddError("plan bits %r out of range for %s" % (k, name))
+def _axes(comp, enc, slices):
+    """Sample values per input of `comp`: every value of a discrete
+    input, and `slices(d)` equal half-open slices of a continuous one."""
     axes = []
-    for role, names in (("state", comp.state_inputs),
-                        ("control", comp.control_inputs)):
-        for name in names:
-            d = enc.dims[name]
-            if d.is_discrete:
-                axes.append([(v, v) for v in d.values])
-                continue
-            vd = _view_dim(d, bits.get(name, comp.view_bits(d)))
-            axes.append([cell_box(vd, i) for i in range(vd.cells)])
-    return axes
-
-
-def _grid_axes(comp, size, enc):
-    if size < 1:
-        raise BddError("grid size must be positive")
-    axes = []
-    for role, names in (("state", comp.state_inputs),
-                        ("control", comp.control_inputs)):
-        for name in names:
-            d = enc.dims[name]
-            if d.is_discrete:
-                axes.append([(v, v) for v in d.values])
-                continue
-            step = (d.hi - d.lo) / size
-            axes.append([(d.lo + i * step, d.lo + (i + 1) * step)
-                         for i in range(size)])
+    for name in comp.input_names():
+        d = enc.dims[name]
+        if d.is_discrete:
+            axes.append([(v, v) for v in d.values])
+            continue
+        n = slices(d)
+        step = (d.hi - d.lo) / n
+        axes.append([(d.lo + i * step, d.lo + (i + 1) * step)
+                     for i in range(n)])
     return axes
 
 
 def _plan_boxes(comp, plan, enc):
     names = comp.input_names()
-    if isinstance(plan, Exhaustive):
-        for combo in itertools.product(*_exhaustive_axes(comp, plan, enc)):
-            yield dict(zip(names, combo))
-        return
-    if isinstance(plan, ShiftedGrids):
-        if not plan.sizes:
-            raise BddError("shifted grids need at least one size")
-        for size in plan.sizes:
-            for combo in itertools.product(*_grid_axes(comp, size, enc)):
-                yield dict(zip(names, combo))
-        return
     if isinstance(plan, RandomRects):
         if plan.count < 0:
             raise BddError("sample count must be nonnegative")
@@ -394,7 +360,27 @@ def _plan_boxes(comp, plan, enc):
                     box[name] = (off, min(off + width, d.hi))
             yield box
         return
-    raise BddError("unknown traversal plan %r" % (plan,))
+    if isinstance(plan, Exhaustive):
+        bits = plan.bits or {}
+        for name, k in bits.items():
+            d = enc.dims.get(name)
+            if d is None:
+                raise BddError("plan bits name no dimension: %r" % (name,))
+            if not d.is_discrete and not 0 <= k <= d.bits:
+                raise BddError("plan bits %r out of range for %s"
+                               % (k, name))
+        grids = [lambda d: 1 << bits.get(d.name, comp.view_bits(d))]
+    elif isinstance(plan, ShiftedGrids):
+        if not plan.sizes:
+            raise BddError("shifted grids need at least one size")
+        if any(size < 1 for size in plan.sizes):
+            raise BddError("grid size must be positive")
+        grids = [lambda d, size=size: size for size in plan.sizes]
+    else:
+        raise BddError("unknown traversal plan %r" % (plan,))
+    for slices in grids:
+        for combo in itertools.product(*_axes(comp, enc, slices)):
+            yield dict(zip(names, combo))
 
 
 def _tree(m, op, parts, unit):

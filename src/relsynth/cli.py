@@ -386,31 +386,51 @@ def _write_slices(enc, pred, out):
     return nt
 
 
-def cmd_solve(cfg, files=()):
-    """Solve the configured game; write winning set, controller, trace."""
+def _setup(cfg, what):
+    """Encoding, dynamics components and goal of the configured system.
+
+    `what` names the run if it samples the dynamics itself, which a
+    custom system (no evaluator) cannot do, and is None if it reads
+    interface files instead.
+    """
     enc, comps = build_system(cfg)
-    m = enc.m
-    if files:
-        interfaces = _load_components(enc, files, cfg)
-    elif comps is not None:
-        plan = build_plan(cfg)
-        interfaces = [traverse(c, plan, enc) for c in comps]
-    else:
-        raise ConfigError("custom systems need interface files to solve")
-    goal = build_goal(cfg, enc)
+    if what is not None and comps is None:
+        raise ConfigError("%s needs a built-in system" % what)
+    return enc, comps, build_goal(cfg, enc)
+
+
+def solve_game(cfg, enc, interfaces, goal, **solver):
+    """Solve the configured objective with the configured solver.
+
+    Keyword arguments override keys of `cfg["solver"]`.  Returns the
+    result, the basin size in state cells and the solve seconds.
+    """
+    sol = dict(cfg["solver"], **solver)
     game = Game(enc, interfaces, cfg["objective"]["kind"], goal)
-    out = _out_dir(cfg)
-    write_resolved_config(cfg, out)
-    sol = cfg["solver"]
+    t0 = time.perf_counter()
     if sol["downsample"]:
         res = downsample_schedule(game, sol["downsample"],
                                   max_iters=sol["max_iters"])
     else:
         res = solve(game, max_iters=sol["max_iters"],
                     coarsen_threshold=sol["coarsen_threshold"])
-    xs = enc.all_state_vars
-    basin = m.sat_count(res.winning.pred, xs)
-    goal_states = m.sat_count(goal, xs)
+    seconds = time.perf_counter() - t0
+    return res, enc.m.sat_count(res.winning.pred, enc.all_state_vars), seconds
+
+
+def cmd_solve(cfg, files=()):
+    """Solve the configured game; write winning set, controller, trace."""
+    enc, comps, goal = _setup(cfg, None if files else
+                              "solve without interface files")
+    if files:
+        interfaces = _load_components(enc, files, cfg)
+    else:
+        plan = build_plan(cfg)
+        interfaces = [traverse(c, plan, enc) for c in comps]
+    out = _out_dir(cfg)
+    write_resolved_config(cfg, out)
+    res, basin, _ = solve_game(cfg, enc, interfaces, goal)
+    goal_states = enc.count_states(goal)
     with open(os.path.join(out, "trace.csv"), "w") as fh:
         res.trace.write_csv(fh)
     with open(os.path.join(out, "winning_cells.csv"), "w") as fh:
@@ -432,17 +452,9 @@ def cmd_solve(cfg, files=()):
 
 
 # -- experiments ------------------------------------------------------------
-
-def _solve_basin(enc, interfaces, goal, max_iters=1000000,
-                 coarsen_threshold=None):
-    game = Game(enc, interfaces, "reach", goal)
-    t0 = time.perf_counter()
-    res = solve(game, max_iters=max_iters,
-                coarsen_threshold=coarsen_threshold)
-    seconds = time.perf_counter() - t0
-    m = enc.m
-    return res, m.sat_count(res.winning.pred, enc.all_state_vars), seconds
-
+#
+# Every experiment solves the configured objective with the configured
+# solver (`solve_game`); only what it varies differs from `solve`.
 
 def experiment_basin_vs_samples(cfg):
     """Basin growth with random sample count, against the exhaustive
@@ -451,32 +463,20 @@ def experiment_basin_vs_samples(cfg):
     _check_keys(exp, {"counts"}, "experiment")
     counts = exp.get("counts",
                      [500, 1000, 2000, 4000, 8000, 16000, 32000])
-    enc, comps = build_system(cfg)
-    if comps is None:
-        raise ConfigError("basin_vs_samples needs a built-in system")
-    goal = build_goal(cfg, enc)
+    _require(all(isinstance(n, int) and n >= 0 for n in counts),
+             "experiment counts must be nonnegative integers")
+    enc, comps, goal = _setup(cfg, "basin_vs_samples")
+    runs = [("random", n, [RandomRects(n, seed=cfg["seed"] + i)
+                           for i in range(len(comps))]) for n in counts]
+    runs.append(("exhaustive", "", [Exhaustive()] * len(comps)))
     rows = []
     results = {}
-    m = enc.m
-    for count in counts:
-        _require(isinstance(count, int) and count >= 0,
-                 "experiment counts must be nonnegative integers")
-        interfaces = [traverse(c, RandomRects(count, seed=cfg["seed"] + i),
-                               enc)
-                      for i, c in enumerate(comps)]
-        res, basin, seconds = _solve_basin(
-            enc, interfaces, goal, cfg["solver"]["max_iters"],
-            cfg["solver"]["coarsen_threshold"])
-        rows.append(("random", count, basin,
-                     m.node_count(res.winning.pred), seconds))
-        results[count] = res
-    interfaces = [traverse(c, Exhaustive(), enc) for c in comps]
-    res, basin, seconds = _solve_basin(
-        enc, interfaces, goal, cfg["solver"]["max_iters"],
-        cfg["solver"]["coarsen_threshold"])
-    rows.append(("exhaustive", "", basin,
-                 m.node_count(res.winning.pred), seconds))
-    results["exhaustive"] = res
+    for kind, count, plans in runs:
+        interfaces = [traverse(c, p, enc) for c, p in zip(comps, plans)]
+        res, basin, seconds = solve_game(cfg, enc, interfaces, goal)
+        rows.append((kind, count, basin,
+                     enc.m.node_count(res.winning.pred), seconds))
+        results[count if kind == "random" else kind] = res
     return rows, results
 
 
@@ -492,13 +492,11 @@ _VARIANTS = (
 def experiment_decomp_vs_mono(cfg):
     """Solve the same game under every grouping of the components, from
     one monolithic relation to the fully decomposed set."""
-    enc, comps = build_system(cfg)
-    if comps is None or {c.name for c in comps} != {"px", "py", "theta"}:
-        raise ConfigError("decomp_vs_mono needs the dubins system")
-    goal = build_goal(cfg, enc)
+    enc, comps, goal = _setup(cfg, "decomp_vs_mono")
+    _require({c.name for c in comps} == {"px", "py", "theta"},
+             "decomp_vs_mono needs the dubins system")
     plan = build_plan(cfg)
     parts = {c.name: traverse(c, plan, enc) for c in comps}
-    m = enc.m
     rows = []
     results = {}
     for variant, groups in _VARIANTS:
@@ -510,35 +508,34 @@ def experiment_decomp_vs_mono(cfg):
                 f = comp(f, parts[name])
             interfaces.append(f)
         compose_s = time.perf_counter() - t0
-        res, basin, solve_s = _solve_basin(
-            enc, interfaces, goal, cfg["solver"]["max_iters"],
-            cfg["solver"]["coarsen_threshold"])
-        rows.append((variant, basin, m.node_count(res.winning.pred),
+        res, basin, solve_s = solve_game(cfg, enc, interfaces, goal)
+        rows.append((variant, basin, enc.m.node_count(res.winning.pred),
                      solve_s, compose_s, res.iterations))
         results[variant] = res
     return rows, results
 
 
 def experiment_greedy_cap(cfg):
-    """Reach solves with and without the node-count cap; the capped
-    basin must stay under the exact one."""
+    """Solves with and without the node-count cap; a capped reach basin
+    must stay under the exact one."""
     exp = cfg["experiment"]
     _check_keys(exp, {"threshold"}, "experiment")
     threshold = exp.get("threshold",
                         cfg["solver"]["coarsen_threshold"] or 3000)
     _require(isinstance(threshold, int) and threshold > 0,
              "experiment threshold must be a positive integer")
-    enc, comps = build_system(cfg)
-    if comps is None:
-        raise ConfigError("greedy_cap needs a built-in system")
-    goal = build_goal(cfg, enc)
+    # the capped solve is the configured one with this threshold, which
+    # a downsample schedule cannot take
+    _validate(dict(cfg, solver=dict(cfg["solver"],
+                                    coarsen_threshold=threshold)))
+    enc, comps, goal = _setup(cfg, "greedy_cap")
     plan = build_plan(cfg)
     interfaces = [traverse(c, plan, enc) for c in comps]
     rows = []
     results = {}
     for variant, thr in (("exact", None), ("capped", threshold)):
-        res, basin, seconds = _solve_basin(
-            enc, interfaces, goal, cfg["solver"]["max_iters"], thr)
+        res = solve_game(cfg, enc, interfaces, goal,
+                         coarsen_threshold=thr)[0]
         results[variant] = res
         for row in res.trace.rows:
             rows.append((variant, row.iteration, row.nodes, row.states,

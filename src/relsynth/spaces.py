@@ -12,12 +12,12 @@ Conventions used throughout the package:
   cell on its right, and the top endpoint of a non-periodic domain
   belongs to the last cell;
 - `cell_range` is the one place where a continuous interval lands on
-  cells, and it reads the interval in one of four ways:
+  cells, and it reads the interval in one of three ways:
   - `inner`: the cells inside the closed interval;
   - `outer`: the cells the closed interval touches;
-  - `box`: the cells a half-open input box `[a, b)` meets;
-  - `succ`: the cells of a right-open successor interval, read like
-    `box` except that a point keeps its own cell;
+  - `half_open`: the cells the half-open interval `[a, b)` meets, as
+    for an input box or a successor interval, except that a point keeps
+    the cell that holds it;
 - on every side, an interval end whose cell coordinate is within a
   relative 1e-9 of a whole number is snapped onto that cell boundary.
 """
@@ -175,16 +175,18 @@ def code_range(m, bit_vars, a, b):
 def cell_range(dim, interval, side):
     """Cell range `(i, j)` of a continuous dimension, or None if empty.
 
-    `side` is `inner`, `outer`, `box` or `succ` (see the module notes).
+    `side` is `inner`, `outer` or `half_open` (see the module notes).
     On periodic dimensions `a > b` crosses the seam, a whole turn gives
     every cell, and `j` may pass the last cell, in which case the range
     wraps on to the first.  On plain ones the range is clipped to the
-    grid; checking the interval against the domain is the caller's job.
-    Ends within the snap tolerance of a cell boundary count as on it.
-    A point box meets the cell it lies strictly inside, and a point
-    successor keeps the cell that holds it.
+    grid, and on the `outer` and `half_open` sides the top of the domain
+    lies in the last cell; checking the interval against the domain is
+    the caller's job.  Ends within the snap tolerance of a cell boundary
+    count as on it.  Ends must be finite.
     """
     a, b = interval
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise BddError("interval %r has a non-finite end" % ((a, b),))
     cells, w = dim.cells, dim.width
     if dim.periodic:
         if b - a >= dim.period:
@@ -197,14 +199,14 @@ def cell_range(dim, interval, side):
         i, j = _iceil(ta), _ifloor(tb) - 1
     elif side == "outer":
         i, j = _ifloor(ta), _ifloor(tb)
-    elif side in ("box", "succ"):
-        i, j = _ifloor(ta), _iceil(tb) - 1
-        if side == "succ":
-            j = max(j, i)
+    elif side == "half_open":
+        i = _ifloor(ta)
+        j = max(_iceil(tb) - 1, i)
     else:
-        raise BddError("side must be inner, outer, box or succ")
+        raise BddError("side must be inner, outer or half_open")
     if not dim.periodic:
-        i, j = max(i, 0), min(j, cells - 1)
+        top = cells if side == "inner" else cells - 1
+        i, j = min(max(i, 0), top), min(j, cells - 1)
     elif j - i + 1 >= cells:
         return 0, cells - 1
     elif i >= cells:
@@ -229,8 +231,6 @@ def encode_set(m, dim, interval, bit_vars, mode="inner"):
             if a <= v <= b:
                 f = m.apply("or", f, encode_cell(m, dim, i, bit_vars))
         return f
-    if math.isnan(a) or math.isnan(b):
-        raise BddError("interval endpoint is NaN")
     if not dim.periodic:
         if a > b:
             raise BddError("interval %r is inverted" % ((a, b),))

@@ -321,6 +321,21 @@ def test_exhaustive_identity_toy():
     assert f.pred == want
 
 
+def test_point_box_samples_the_cell_that_holds_it():
+    """A point input box covers the cell `point_cell` puts it in, also on
+    a cell boundary and at the top of the domain, and so does its point
+    successor."""
+    enc, comp = toy_identity_setup()
+    m = enc.m
+    d = enc.dims["x"]
+    for x in (0.5, 1.0, 4.0):
+        i = point_cell(d, x)
+        f = sample_to_interface(comp, {"x": (x, x)}, enc)
+        assert f.pred == m.apply(
+            "and", code_range(m, enc.state_vars("x"), i, i),
+            code_range(m, enc.next_vars("x"), i, i)), x
+
+
 def test_empty_plan_is_bottom():
     enc = dubins_encoding(3)
     m = enc.m

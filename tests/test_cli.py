@@ -234,6 +234,44 @@ def test_experiment_decomp_vs_mono_basins_agree(tmp_path):
     assert len({r[1] for r in rows}) == 1
 
 
+def solve_meta(cfg_path):
+    """Run metadata of `relsynth solve` on a config (from winning.txt)."""
+    assert main(["solve", "--config", cfg_path]) == 0
+    cfg = load_config(cfg_path)
+    enc, _ = build_system(cfg)
+    with open(os.path.join(cfg["out"], "winning.txt")) as fh:
+        return load_interface(enc.m, fh)[1]
+
+
+@pytest.mark.parametrize("extra", [
+    {"objective": {"kind": "safe",
+                   "box": {"px": [-1.5, 1.5], "py": [-1.5, 1.5]}}},
+    {"solver": {"downsample": [2, 3, 4]}},
+], ids=["safe", "downsample"])
+def test_experiment_solves_like_solve(tmp_path, extra):
+    """Experiments solve the configured objective with the configured
+    solver: every decomp_vs_mono row has the basin and the iteration
+    count that `relsynth solve` reports for the same config."""
+    cfg = write_config(tmp_path / "c.yaml", bits=4, images=False,
+                       out=str(tmp_path / "r"), **extra)
+    meta = solve_meta(cfg)
+    assert main(["experiment", "decomp_vs_mono", "--config", cfg]) == 0
+    header, rows = read_csv_rows(tmp_path / "r" / "decomp_vs_mono.csv")
+    basin, iters = header.index("basin"), header.index("iterations")
+    assert len(rows) == 5
+    assert {(int(r[basin]), int(r[iters])) for r in rows} == \
+        {(meta["basin_states"], meta["iterations"])}
+
+
+def test_experiment_greedy_cap_refuses_downsample(tmp_path):
+    # the capped solve would combine a threshold with the schedule
+    cfg = write_config(tmp_path / "c.yaml", bits=4,
+                       solver={"downsample": [2, 3, 4]},
+                       out=str(tmp_path / "r"))
+    assert main(["experiment", "greedy_cap", "--config", cfg]) == 2
+    assert not os.path.exists(tmp_path / "r" / "greedy_cap.csv")
+
+
 def test_experiment_basin_vs_samples_monotone(tmp_path):
     cfg = write_config(tmp_path / "c.yaml", bits=4,
                        experiment={"counts": [10, 40, 160]},

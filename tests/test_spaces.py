@@ -214,6 +214,22 @@ def test_encode_set_edge_cases():
     for b in (math.pi - 1e-11, math.pi, math.pi + 1e-11):
         f = encode_set(m, t3, (2.5, b), vs3, "outer")
         assert pred_cells(m, t3, vs3, f) == {0, 7}, b
+    # the top of a plain domain lies in the last cell, as a touched
+    # point and as a successor within the snap below it
+    d3 = Dimension.continuous("x", 0.0, 1.0, 3)
+    top = encode_set(m, d3, (1.0, 1.0), vs3, "outer")
+    assert pred_cells(m, d3, vs3, top) == {point_cell(d3, 1.0)} == {7}
+    assert encode_set(m, d3, (1.0, 1.0), vs3, "inner") == m.false
+    assert cell_range(d3, (1 - 1e-12, 1.0), "half_open") == (7, 7)
+    # non-finite ends are refused on every side, periodic or not
+    inf, nan = float("inf"), float("nan")
+    for dim, iv in ((t3, (inf, inf)), (t3, (0.0, inf)), (t3, (-inf, 0.0)),
+                    (t3, (nan, 0.0)), (d3, (0.5, nan))):
+        with pytest.raises(BddError):
+            encode_set(m, dim, iv, vs3, "outer")
+        for side in ("inner", "outer", "half_open"):
+            with pytest.raises(BddError):
+                cell_range(dim, iv, side)
 
 
 def _t(x, dim):
@@ -228,10 +244,10 @@ def cells_by_points(dim, a, b, side):
     Works in cell coordinates, where cell `i` is `[i, i + 1)` and, on a
     periodic dimension, repeats every `cells`; the interval is unrolled
     to `[A, A + width]`.  `inner` keeps a cell whose closure lies in
-    `[A, B]`, `outer` one that holds a point of `[A, B]`, `box` one that
-    holds a point of `[A, B)`, and `succ` reads like `box`.  A point
-    interval keeps the cell it lies strictly inside (`box`) or the cell
-    that holds it (`succ`).
+    `[A, B]`, `outer` one that holds a point of `[A, B]`, and
+    `half_open` one that holds a point of `[A, B)`, or the cell that
+    holds `A` if `A == B`.  On a plain dimension the top of the domain
+    lies in the last cell (`outer` and `half_open`).
     """
     n = dim.cells
     if dim.periodic:
@@ -252,11 +268,13 @@ def cells_by_points(dim, a, b, side):
             elif side == "outer":
                 hit = x < c0 + 1 and x <= B
             elif A == B:
-                hit = (c0 <= A if side == "succ" else c0 < A) and A < c0 + 1
+                hit = c0 <= A < c0 + 1
             else:
                 hit = x < c0 + 1 and x < B
             if hit:
                 out.add(i)
+    if not dim.periodic and side != "inner" and A == n:
+        out.add(n - 1)
     return out
 
 
@@ -295,7 +313,7 @@ def test_cell_range_against_point_oracle():
                 a, b = max(a, d.lo), min(b, d.hi)
             if rng.random() < 0.1:
                 b = a
-            for side in ("inner", "outer", "box", "succ"):
+            for side in ("inner", "outer", "half_open"):
                 assert range_cells(d, cell_range(d, (a, b), side)) == \
                     cells_by_points(d, a, b, side), (d, a, b, side)
     with pytest.raises(BddError):
