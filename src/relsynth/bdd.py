@@ -32,7 +32,10 @@ Design notes:
 - Memory is reclaimed only by an explicit `sweep(roots)` between solver
   iterations.  Handles passed as roots (plus any `protect`-ed handles)
   survive a sweep; every other handle becomes invalid.  No operation ever
-  invalidates a handle on its own.
+  invalidates a handle on its own.  The rule for callers is CUDD's: a
+  caller keeps a node alive by referencing it.  A solve passes its game,
+  its iterates and its current stage as roots, so a handle that outlives
+  a solve without belonging to its game must be `protect`-ed.
 - Handles are meaningful only for the manager that produced them.  The
   manager rejects out-of-range or swept handles, which catches most
   cross-manager mix-ups; exact manager identity is enforced by the

@@ -204,7 +204,8 @@ def build_system(cfg):
     """Encoding and dynamics components for the configured system.
 
     Custom systems carry no evaluators; their abstractions must come
-    from saved interface files, so the component list is None.
+    from saved interface files, so the component list is None.  A
+    `bits` or `view` map may name only state dimensions of the system.
     """
     if cfg["system"] == "dubins":
         dims = [
@@ -215,36 +216,35 @@ def build_system(cfg):
         ]
         ctrl = [Dimension.discrete("v", (0.25, 0.5)),
                 Dimension.discrete("omega", (-1.5, 0.0, 1.5))]
-        enc = Encoding(dims, ctrl, cap=cfg["cap"])
         comps = dubins_components(length=cfg["length"], view=cfg["view"])
-        return enc, comps
-    if cfg["system"] == "toy1d":
-        enc = Encoding([Dimension.continuous("x", 0.0, 1.0,
-                                             _dim_bits(cfg, "x", 3))],
-                       [Dimension.discrete("u", (0.0, 1.0))],
-                       cap=cfg["cap"])
-        hold = DynamicsComponent("hold", ("x",), (), "x",
-                                 lambda box: box["x"])
-        return enc, [hold]
-    dims = []
-    for spec in cfg["dims"]:
-        _check_keys(spec, {"name", "lo", "hi", "bits", "periodic"}, "dim")
-        try:
-            dims.append(Dimension.continuous(
-                spec["name"], float(spec["lo"]), float(spec["hi"]),
-                int(spec["bits"]), bool(spec.get("periodic", False))))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError("bad dim entry %r: %s" % (spec, e))
-    ctrl = []
-    for spec in cfg["controls"] or ():
-        _check_keys(spec, {"name", "values"}, "control")
-        try:
-            ctrl.append(Dimension.discrete(spec["name"],
-                                           tuple(spec["values"])))
-        except (KeyError, TypeError) as e:
-            raise ConfigError("bad control entry %r: %s" % (spec, e))
+    elif cfg["system"] == "toy1d":
+        dims = [Dimension.continuous("x", 0.0, 1.0, _dim_bits(cfg, "x", 3))]
+        ctrl = [Dimension.discrete("u", (0.0, 1.0))]
+        comps = [DynamicsComponent("hold", ("x",), (), "x",
+                                   lambda box: box["x"])]
+    else:
+        dims, ctrl, comps = [], [], None
+        for spec in cfg["dims"]:
+            _check_keys(spec, {"name", "lo", "hi", "bits", "periodic"},
+                        "dim")
+            try:
+                dims.append(Dimension.continuous(
+                    spec["name"], float(spec["lo"]), float(spec["hi"]),
+                    int(spec["bits"]), bool(spec.get("periodic", False))))
+            except (KeyError, TypeError, ValueError) as e:
+                raise ConfigError("bad dim entry %r: %s" % (spec, e))
+        for spec in cfg["controls"] or ():
+            _check_keys(spec, {"name", "values"}, "control")
+            try:
+                ctrl.append(Dimension.discrete(spec["name"],
+                                               tuple(spec["values"])))
+            except (KeyError, TypeError) as e:
+                raise ConfigError("bad control entry %r: %s" % (spec, e))
+    for key in ("bits", "view"):
+        if isinstance(cfg[key], dict):
+            _check_keys(cfg[key], {d.name for d in dims}, key)
     try:
-        return Encoding(dims, ctrl, cap=cfg["cap"]), None
+        return Encoding(dims, ctrl, cap=cfg["cap"]), comps
     except CapacityError:
         raise
     except BddError as e:
@@ -497,6 +497,10 @@ def experiment_decomp_vs_mono(cfg):
              "decomp_vs_mono needs the dubins system")
     plan = build_plan(cfg)
     parts = {c.name: traverse(c, plan, enc) for c in comps}
+    # a solve frees what its own game does not reach, and the monolithic
+    # game reaches none of the parts the later groupings compose
+    for f in parts.values():
+        enc.m.protect(f.pred)
     rows = []
     results = {}
     for variant, groups in _VARIANTS:
@@ -518,12 +522,8 @@ def experiment_decomp_vs_mono(cfg):
 def experiment_greedy_cap(cfg):
     """Solves with and without the node-count cap; a capped reach basin
     must stay under the exact one."""
-    exp = cfg["experiment"]
-    _check_keys(exp, {"threshold"}, "experiment")
-    threshold = exp.get("threshold",
-                        cfg["solver"]["coarsen_threshold"] or 3000)
-    _require(isinstance(threshold, int) and threshold > 0,
-             "experiment threshold must be a positive integer")
+    _check_keys(cfg["experiment"], (), "experiment")
+    threshold = cfg["solver"]["coarsen_threshold"] or 3000
     # the capped solve is the configured one with this threshold, which
     # a downsample schedule cannot take
     _validate(dict(cfg, solver=dict(cfg["solver"],

@@ -22,6 +22,12 @@ Coarsening degrades precision in place: the winning region or the
 dynamics keep their variables, with low bits projected out so the
 predicate is constant on coarse cells.  The coarsened object always
 abstracts (sits below) the original in the refinement order.
+
+A solve sweeps the node store between iterations.  It may free every
+node that is not reachable from its game (component predicates, their
+nonblocking sets, the goal), its iterates or a protected handle; the
+returned winning region and controller are protected.  Any other handle
+a caller keeps across a solve must be protected (`m.protect`) first.
 """
 
 import logging
@@ -29,11 +35,12 @@ import time
 from dataclasses import dataclass, field
 
 from relsynth.bdd import BddError
-from relsynth.interfaces import Interface, comp, refine, sink
+from relsynth.interfaces import Interface, sink
 
 log = logging.getLogger(__name__)
 
-# sweep the node store once this much garbage piles up
+# sweep the node store once this much garbage piles up; read at each
+# level of a solve, so a caller may lower it to force sweeps
 SWEEP_SLACK = 2_000_000
 
 
@@ -87,12 +94,8 @@ class Game:
         self._nb = [m.exists(f.outputs, f.pred) for f in components]
 
     def roots(self):
-        hs = [f.pred for f in self.components]
-        hs.extend(self._nb)
-        hs.append(self.goal)
-        hs.append(self.enc.control_domain())
-        hs.append(self.enc.state_domain())
-        return hs
+        """The handles the game owns, which a sweep during its solve keeps."""
+        return [f.pred for f in self.components] + self._nb + [self.goal]
 
 
 def _cpre_stage(game, z):
@@ -115,29 +118,6 @@ def cpre(game, z):
     m = game.m
     stage = _cpre_stage(game, z)
     return m.exists(game.enc.all_control_vars, stage)
-
-
-def cpre_with_controller(game, z):
-    """cpre plus the (state, control) sink it projects from."""
-    m = game.m
-    stage = _cpre_stage(game, z)
-    return m.exists(game.enc.all_control_vars, stage), stage
-
-
-def reach_step(game, z):
-    """One reach iteration: fuse the predecessor set with the target."""
-    m = game.m
-    xs = game.enc.all_state_vars
-    pre = sink(m, xs, cpre(game, z))
-    return refine(pre, sink(m, xs, game.goal)).pred
-
-
-def safe_step(game, z):
-    """One safe iteration: predecessor set inside the safe set."""
-    m = game.m
-    xs = game.enc.all_state_vars
-    pre = sink(m, xs, cpre(game, z))
-    return comp(pre, sink(m, xs, game.goal)).pred
 
 
 @dataclass
@@ -218,22 +198,6 @@ def greedy_coarsen(game, z, node_threshold):
     return z, events
 
 
-class _Sweeper:
-    """Sweeps the store once it outgrows the last live count by a slack."""
-
-    def __init__(self, game, slack=SWEEP_SLACK):
-        self.game = game
-        self.slack = slack
-        self.level = game.m.size + slack
-
-    def step(self, extra):
-        m = self.game.m
-        if m.size > self.level:
-            live, freed = m.sweep(self.game.roots() + list(extra))
-            log.debug("sweep kept %d nodes, freed %d", live, freed)
-            self.level = live + self.slack
-
-
 def _iterate(game, levels, max_iters, coarsen_threshold=None):
     """Run `game`'s iteration through a sequence of precision levels.
 
@@ -247,7 +211,7 @@ def _iterate(game, levels, max_iters, coarsen_threshold=None):
     is returned with the cpre stage of that same iterate as controller.
     """
     m = game.m
-    xs = game.enc.all_state_vars
+    xs, us = game.enc.all_state_vars, game.enc.all_control_vars
     reach = game.objective == "reach"
     fuse = "or" if reach else "and"
     z = m.false if reach else game.goal
@@ -255,12 +219,12 @@ def _iterate(game, levels, max_iters, coarsen_threshold=None):
     zs = [z]
     for sub in levels:
         seen = {z}
-        sweeper = _Sweeper(sub)
+        limit = m.size + SWEEP_SLACK
         trace.stop_reason = "budget"
         while len(trace.rows) < max_iters:
             t0 = time.perf_counter()
-            pre, stage = cpre_with_controller(sub, z)
-            zn = m.apply(fuse, pre, game.goal)
+            stage = _cpre_stage(sub, z)
+            zn = m.apply(fuse, m.exists(us, stage), game.goal)
             events = 0
             if coarsen_threshold is not None \
                     and m.node_count(zn) > coarsen_threshold:
@@ -280,15 +244,18 @@ def _iterate(game, levels, max_iters, coarsen_threshold=None):
                 break
             seen.add(z)
             zs.append(z)
-            sweeper.step(zs + [stage] + game.roots())
+            if m.size > limit:
+                live, freed = m.sweep(zs + [stage] + game.roots()
+                                      + sub.roots())
+                log.debug("sweep kept %d nodes, freed %d", live, freed)
+                limit = live + SWEEP_SLACK
         if trace.stop_reason != "fixed_point":
             # any stage so far belongs to the iterate before `z`
             stage = _cpre_stage(sub, z)
             break
     m.protect(z)
     m.protect(stage)
-    xu = xs + game.enc.all_control_vars
-    return GameResult(sink(m, xs, z), sink(m, xu, stage), trace)
+    return GameResult(sink(m, xs, z), sink(m, xs + us, stage), trace)
 
 
 def solve(game, max_iters=1_000_000, coarsen_threshold=None):
@@ -307,6 +274,11 @@ def solve(game, max_iters=1_000_000, coarsen_threshold=None):
     and controller predicates are pinned so that later solves on the
     same manager cannot sweep them away; `m.unprotect` releases them
     once a caller is done comparing results.
+
+    The solve may free every node that is not reachable from `game`,
+    its iterates or a protected handle.  Any other handle the caller
+    keeps across it, such as an interface or a goal meant for a later
+    game, must be protected first.
     """
     return _iterate(game, [game], max_iters, coarsen_threshold)
 

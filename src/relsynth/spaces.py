@@ -322,7 +322,6 @@ class Encoding:
                 self.prime_map[c] = n
         self.unprime_map = {n: c for c, n in self.prime_map.items()}
         self._u_domain = None
-        self._state_domain = None
 
     def state_vars(self, name):
         return list(self._state_vars[name])
@@ -356,17 +355,6 @@ class Encoding:
                         self.m, d, self._control_vars[d.name]))
             self._u_domain = self.m.protect(f)
         return self._u_domain
-
-    def state_domain(self):
-        """Codes naming actual state cells (discrete dims constrain)."""
-        if self._state_domain is None:
-            f = self.m.true
-            for d in self.state_dims:
-                if d.is_discrete:
-                    f = self.m.apply("and", f, discrete_domain_predicate(
-                        self.m, d, self._state_vars[d.name]))
-            self._state_domain = self.m.protect(f)
-        return self._state_domain
 
     def state_box(self, box, mode="inner", role="state"):
         """Conjunction of per-dimension set encodings over state bits.

@@ -5,6 +5,8 @@ import os
 import pytest
 import yaml
 
+import relsynth.games as games
+from relsynth.bdd import BDD
 from relsynth.cli import (ConfigError, build_system, cmd_experiment,
                           load_config, main)
 from relsynth.interfaces import load_interface
@@ -145,11 +147,14 @@ def test_config_errors_exit_2(tmp_path):
                   {"plan": {"kind": "exhaustive", "bits": {"px": "two"}}},
                   {"plan": {"kind": "shifted_grids", "sizes": ["a"]}},
                   {"view": {"px": "a"}},
+                  {"view": {"pz": 2}},
+                  {"bits": {"px": 3, "py": 3, "theta": 3, "pz": 9}},
                   {"length": "abc"},
                   {"objective": 3}):
         cfg = write_config(tmp_path / "m.yaml", out=str(tmp_path / "rm"),
                            **extra)
         assert main(["solve", "--config", cfg]) == 2, extra
+        assert not os.path.exists(tmp_path / "rm"), extra
     good = write_config(tmp_path / "ok.yaml", out=str(tmp_path / "r"))
     assert main(["solve", "--config", good,
                  str(tmp_path / "nofile.txt")]) == 2
@@ -234,6 +239,26 @@ def test_experiment_decomp_vs_mono_basins_agree(tmp_path):
     assert len({r[1] for r in rows}) == 1
 
 
+def test_experiment_decomp_vs_mono_survives_sweeps(tmp_path, monkeypatch):
+    """The parts every grouping composes outlive the sweeps of the
+    solves before it."""
+    cfg = load_config(write_config(tmp_path / "c.yaml", images=False,
+                                   out=str(tmp_path / "r")))
+
+    def rows():
+        return [(r[0], r[1], r[5])
+                for r in cmd_experiment("decomp_vs_mono", cfg)[0]]
+
+    plain = rows()
+    sweeps = []
+    sweep = BDD.sweep
+    monkeypatch.setattr(BDD, "sweep", lambda m, roots: sweeps.append(1)
+                        or sweep(m, roots))
+    monkeypatch.setattr(games, "SWEEP_SLACK", 0)
+    assert rows() == plain
+    assert sweeps
+
+
 def solve_meta(cfg_path):
     """Run metadata of `relsynth solve` on a config (from winning.txt)."""
     assert main(["solve", "--config", cfg_path]) == 0
@@ -288,7 +313,7 @@ def test_experiment_basin_vs_samples_monotone(tmp_path):
 
 def test_experiment_greedy_cap_rows(tmp_path):
     cfg = write_config(tmp_path / "c.yaml", bits=4,
-                       experiment={"threshold": 15},
+                       solver={"coarsen_threshold": 15},
                        out=str(tmp_path / "r"))
     reloaded = load_config(str(tmp_path / "c.yaml"))
     rows, results, threshold = cmd_experiment("greedy_cap", reloaded)
@@ -303,6 +328,11 @@ def test_experiment_greedy_cap_rows(tmp_path):
     header, _ = read_csv_rows(tmp_path / "r" / "greedy_cap.csv")
     assert header == ["variant", "iter", "nodes", "states", "seconds",
                       "coarsen_events"]
+    # the cap comes from the solver alone
+    cfg = write_config(tmp_path / "t.yaml", bits=4,
+                       experiment={"threshold": 15},
+                       out=str(tmp_path / "t"))
+    assert main(["experiment", "greedy_cap", "--config", cfg]) == 2
 
 
 def test_experiment_csv_deterministic_modulo_timing(tmp_path):

@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+import relsynth.games as games
+from relsynth.abstraction import Exhaustive, traverse
 from relsynth.bdd import BddError
+from relsynth.cli import DEFAULTS, build_system
 from relsynth.games import (Game, GameTrace, TraceRow, coarsen_component,
-                            cpre, cpre_with_controller, downsample_schedule,
-                            dump_cell_runs, greedy_coarsen, reach_step,
-                            safe_step, solve)
+                            cpre, downsample_schedule, dump_cell_runs,
+                            greedy_coarsen, solve)
 from relsynth.interfaces import Interface, comp, ihide, is_refinement, ohide, sink
 from relsynth.spaces import Dimension, Encoding
 from util import assignments, rand_pred
@@ -294,22 +296,6 @@ def test_solve_budget_stops():
     assert ihide(us, res.controller).pred == cpre(safe, res.winning.pred)
 
 
-def test_step_helpers_match_direct_forms():
-    rng = random.Random(77)
-    for _ in range(10):
-        enc = small_encoding()
-        m = enc.m
-        xs, us = enc.all_state_vars, enc.all_control_vars
-        f = Interface(m, xs + us, enc.all_next_vars,
-                      rand_pred(m, rng, xs + us + enc.all_next_vars, 12))
-        goal = rand_pred(m, rng, xs, 8)
-        z = rand_pred(m, rng, xs, 8)
-        game = Game(enc, [f], "reach", goal)
-        pre = cpre(game, z)
-        assert reach_step(game, z) == m.apply("or", pre, goal)
-        assert safe_step(game, z) == m.apply("and", pre, goal)
-
-
 def trivial_game(enc):
     return Game(enc, [identity_component(enc)], "reach", enc.m.false)
 
@@ -448,6 +434,37 @@ def test_downsample_schedule_matches_plain_solve():
         downsample_schedule(Game(enc, [f], "safe", goal), [{}])
     with pytest.raises(BddError):
         downsample_schedule(game, [])
+
+
+def test_solve_results_do_not_depend_on_sweeps(monkeypatch):
+    """A solve frees only nodes that its game, its iterates and the
+    protected handles do not reach, so sweeping after every iteration
+    leaves every result as it is."""
+    enc, comps = build_system(dict(DEFAULTS, bits=4))
+    m = enc.m
+    parts = [traverse(c, Exhaustive(), enc) for c in comps]
+    target = m.protect(enc.state_box({"px": (-0.5, 0.5), "py": (-0.5, 0.5)}))
+    safe = m.protect(enc.state_box({"px": (-1.5, 1.5), "py": (-1.5, 1.5)}))
+
+    def results():
+        reach = Game(enc, parts, "reach", target)
+        return [solve(reach), solve(Game(enc, parts, "safe", safe)),
+                solve(reach, coarsen_threshold=60),
+                downsample_schedule(reach, [2, 3, {}])]
+
+    sweeps = []
+    sweep = m.sweep
+    monkeypatch.setattr(m, "sweep", lambda roots: sweeps.append(1)
+                        or sweep(roots))
+    monkeypatch.setattr(games, "SWEEP_SLACK", 0)
+    swept = results()
+    assert len(sweeps) > 4
+    monkeypatch.undo()
+    for a, b in zip(swept, results()):
+        assert a.winning.pred == b.winning.pred
+        assert a.controller.pred == b.controller.pred
+        assert [r.states for r in a.trace.rows] == \
+            [r.states for r in b.trace.rows]
 
 
 def test_game_validation():

@@ -96,6 +96,11 @@ def test_comp_parallel_with_shared_inputs():
         both = comp(f1, f2)
         assert both.pred == m.apply("and", f1.pred, f2.pred)
         assert both.inputs == frozenset({"i"})
+    m = fresh(["i1", "i2"])
+    for _ in range(10):
+        s1 = sink(m, ["i1", "i2"], rand_pred(m, rng, ["i1", "i2"], 8))
+        s2 = sink(m, ["i1", "i2"], rand_pred(m, rng, ["i1", "i2"], 8))
+        assert comp(s1, s2).pred == m.apply("and", s1.pred, s2.pred)
 
 
 def test_comp_series_chain_is_associative():

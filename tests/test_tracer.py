@@ -42,3 +42,4 @@ def test_traced_abstract_and_solve_report_every_layer(tmp_path):
     assert built["agg"]["spaces.encode_set"][0] > 0
     assert "abstraction.px.traverse" in built["agg"]
     assert solved["agg"]["games.cpre.px"][0] > 0
+    assert solved["agg"]["games.project"][0] > 0
