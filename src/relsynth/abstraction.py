@@ -209,27 +209,38 @@ def _signature(comp, enc):
     return ins, enc.next_vars(comp.output)
 
 
-def _range_pred(m, vd, rng, bit_vars):
+def _range_pred(m, vd, rng, bit_vars, memo):
     """Predicate of a `cell_range` result: None is no cell, a whole turn
     of a periodic dimension is every cell, and a range that passes the
-    last cell wraps on to the first."""
+    last cell wraps on to the first.
+
+    `memo` keeps the predicates already built, keyed on the view
+    dimension, the range and the bits; it must not outlive a sweep.
+    """
+    key = (vd, rng, tuple(bit_vars))
+    f = memo.get(key)
+    if f is not None:
+        return f
     if rng is None:
-        return m.false
-    i, j = rng
-    if vd.periodic and j - i + 1 == vd.cells:
-        return m.true
-    if j < vd.cells:
-        return code_range(m, bit_vars, i, j)
-    return m.apply("or", code_range(m, bit_vars, i, vd.cells - 1),
-                   code_range(m, bit_vars, 0, j - vd.cells))
+        f = m.false
+    elif vd.periodic and rng[1] - rng[0] + 1 == vd.cells:
+        f = m.true
+    elif rng[1] < vd.cells:
+        f = code_range(m, bit_vars, *rng)
+    else:
+        f = m.apply("or", code_range(m, bit_vars, rng[0], vd.cells - 1),
+                    code_range(m, bit_vars, 0, rng[1] - vd.cells))
+    memo[key] = f
+    return f
 
 
-def _sample_parts(comp, box, enc):
+def _sample_parts(comp, box, enc, memo):
     """(input predicate, output predicate) of one sample, None if the
     box covers no cell or the successors escape the output domain.
 
     The evaluator runs on the union of the cells the box covers, so
-    every accepted cell's points are accounted for.
+    every accepted cell's points are accounted for.  `memo` is the cell
+    predicate memo of `_range_pred`.
     """
     m = enc.m
     if set(box) != set(comp.input_names()):
@@ -259,7 +270,7 @@ def _sample_parts(comp, box, enc):
                 if rng is None:
                     return None
                 i, j = rng
-                cells = _range_pred(m, vd, rng, bit_vars[:vd.bits])
+                cells = _range_pred(m, vd, rng, bit_vars[:vd.bits], memo)
                 ev_box[name] = (d.lo + i * vd.width,
                                 d.hi if j + 1 == vd.cells
                                 else d.lo + (j + 1) * vd.width)
@@ -270,7 +281,7 @@ def _sample_parts(comp, box, enc):
     if not d.periodic and (a < d.lo or b > d.hi):
         return None
     return ipred, _range_pred(m, vd, cell_range(vd, (a, b), "half_open"),
-                              enc.next_vars(comp.output)[:vd.bits])
+                              enc.next_vars(comp.output)[:vd.bits], memo)
 
 
 def sample_to_interface(comp, box, enc):
@@ -284,7 +295,7 @@ def sample_to_interface(comp, box, enc):
     """
     m = enc.m
     ins, outs = _signature(comp, enc)
-    parts = _sample_parts(comp, box, enc)
+    parts = _sample_parts(comp, box, enc, {})
     if parts is None:
         return Interface(m, ins, outs, m.false)
     return Interface(m, ins, outs, m.apply("and", *parts))
@@ -403,8 +414,10 @@ def traverse(comp, plan, enc):
     m = enc.m
     ins, outs = _signature(comp, enc)
     nb_parts, io_parts = [], []
+    # cell predicates repeat across samples; traverse never sweeps
+    memo = {}
     for box in _plan_boxes(comp, plan, enc):
-        parts = _sample_parts(comp, box, enc)
+        parts = _sample_parts(comp, box, enc, memo)
         if parts is None:
             continue
         nb_parts.append(parts[0])

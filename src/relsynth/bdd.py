@@ -10,7 +10,8 @@ logically equivalent iff their handles are equal.
 Design notes:
 
 - The variable order is fixed at construction.  There is no dynamic
-  reordering; callers choose the order when they build their spaces.
+  reordering; callers choose the order when they build their spaces,
+  and `transfer` copies a predicate into a manager of another order.
 - Every operation runs on five kernel factories, each a closure over the
   node store:
   - `_make_node` becomes `m._node`, the one place nodes are made
@@ -60,6 +61,10 @@ class BddError(ValueError):
 
 class CapacityError(BddError):
     """The live node count exceeded the manager's soft cap."""
+
+
+class OrderError(BddError):
+    """Serialized text whose variable order differs from the manager's."""
 
 
 def _make_node(m):
@@ -635,6 +640,31 @@ class BDD:
             runs.append(pending)
         return runs
 
+    def transfer(self, f, target):
+        """`f` rebuilt in the manager `target`, whatever its order.
+
+        `target` must know every variable in the support of `f`.  Each
+        node becomes `(x and f1) or (not x and f0)` in `target`, once
+        per node (Shannon expansion), so the cost follows the size of
+        the result in `target`'s order.
+        """
+        self._check(f)
+        var, lo, hi = self._var, self._lo, self._hi
+        names = self._names
+        and_, or_ = target._and, target._or
+        memo = {0: 0, 1: 1}
+
+        def rec(u):
+            r = memo.get(u)
+            if r is None:
+                name = names[var[u]]
+                r = or_(and_(target.var(name), rec(hi[u])),
+                        and_(target.nvar(name), rec(lo[u])))
+                memo[u] = r
+            return r
+
+        return rec(f)
+
     # -- serialization -------------------------------------------------------
 
     def to_text(self, f):
@@ -674,7 +704,8 @@ class BDD:
         for name in file_vars:
             levels.append(self.level_of(name))
         if any(x >= y for x, y in zip(levels, levels[1:])):
-            raise BddError("file variable order conflicts with manager order")
+            raise OrderError("the file's variable order differs from "
+                             "this manager's")
         if not lines[-1].startswith("root "):
             raise BddError("missing 'root' line")
         try:

@@ -23,7 +23,7 @@ import yaml
 from relsynth import __version__
 from relsynth.abstraction import (DynamicsComponent, Exhaustive, RandomRects,
                                   ShiftedGrids, dubins_components, traverse)
-from relsynth.bdd import BddError, CapacityError
+from relsynth.bdd import BddError, CapacityError, OrderError
 from relsynth.games import Game, downsample_schedule, dump_cell_runs, solve
 from relsynth.interfaces import comp, load_interface, save_interface
 from relsynth.spaces import Dimension, Encoding
@@ -206,7 +206,12 @@ def build_system(cfg):
     Custom systems carry no evaluators; their abstractions must come
     from saved interface files, so the component list is None.  A
     `bits` or `view` map may name only state dimensions of the system.
+
+    The vehicle's heading feeds all three components, so its block and
+    the controls sit above the position blocks in the variable order;
+    the other systems keep the declaration order.
     """
+    order = None
     if cfg["system"] == "dubins":
         dims = [
             Dimension.continuous("px", -2.0, 2.0, _dim_bits(cfg, "px")),
@@ -217,6 +222,7 @@ def build_system(cfg):
         ctrl = [Dimension.discrete("v", (0.25, 0.5)),
                 Dimension.discrete("omega", (-1.5, 0.0, 1.5))]
         comps = dubins_components(length=cfg["length"], view=cfg["view"])
+        order = ("theta", "v", "omega", "px", "py")
     elif cfg["system"] == "toy1d":
         dims = [Dimension.continuous("x", 0.0, 1.0, _dim_bits(cfg, "x", 3))]
         ctrl = [Dimension.discrete("u", (0.0, 1.0))]
@@ -244,7 +250,7 @@ def build_system(cfg):
         if isinstance(cfg[key], dict):
             _check_keys(cfg[key], {d.name for d in dims}, key)
     try:
-        return Encoding(dims, ctrl, cap=cfg["cap"]), comps
+        return Encoding(dims, ctrl, cap=cfg["cap"], level_order=order), comps
     except CapacityError:
         raise
     except BddError as e:
@@ -277,18 +283,24 @@ def build_goal(cfg, enc):
         raise ConfigError("objective box: %s" % e)
 
 
-def _out_dir(cfg):
-    path = cfg["out"]
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def write_resolved_config(cfg, out):
     resolved = dict(cfg)
     resolved["version"] = __version__
     with open(os.path.join(out, "config.yaml"), "w") as fh:
         yaml.safe_dump(resolved, fh, sort_keys=True,
                        default_flow_style=False)
+
+
+def _start_output(cfg):
+    """Create the output directory and write `config.yaml` into it.
+
+    A command calls this once its setup has passed, so a configuration
+    error leaves no output behind.
+    """
+    path = cfg["out"]
+    os.makedirs(path, exist_ok=True)
+    write_resolved_config(cfg, path)
+    return path
 
 
 # -- subcommands ------------------------------------------------------------
@@ -301,8 +313,7 @@ def cmd_abstract(cfg):
             "custom systems have no evaluator; supply interface files "
             "to `solve` instead")
     plan = build_plan(cfg)
-    out = _out_dir(cfg)
-    write_resolved_config(cfg, out)
+    out = _start_output(cfg)
     m = enc.m
     paths = []
     for c in comps:
@@ -329,6 +340,8 @@ def cmd_abstract(cfg):
         paths.append(path)
         print("wrote %s (%d nodes, %.2fs)"
               % (path, m.node_count(f.pred), build_s))
+        # the file holds the component now; free its nodes for the next
+        m.sweep()
     return paths
 
 
@@ -344,6 +357,11 @@ def _load_components(enc, paths, cfg):
             raise ConfigError("cannot read interface file: %s" % e)
         except CapacityError:
             raise
+        except OrderError:
+            raise ConfigError(
+                "%s: the file's variable order differs from this system's; "
+                "an interface file is tied to the order it was written in, "
+                "so re-run `relsynth abstract` to rebuild it" % path)
         except BddError as e:
             raise ConfigError("%s: %s" % (path, e))
         if not set(f.inputs) | set(f.outputs) <= known:
@@ -358,9 +376,11 @@ def _load_components(enc, paths, cfg):
     return comps
 
 
-def _write_slices(enc, pred, out):
-    """One PGM per heading bin: white = winning (px across, py up)."""
-    m = enc.m
+def _write_slices(enc, runs, out):
+    """One PGM per heading bin: white = winning (px across, py up).
+
+    `runs` are the winning cell runs from `Encoding.cell_runs`.
+    """
     state_names = [d.name for d in enc.state_dims]
     if state_names != ["px", "py", "theta"]:
         return 0
@@ -368,8 +388,8 @@ def _write_slices(enc, pred, out):
     ny = enc.dims["py"].cells
     nt = enc.dims["theta"].cells
     rasters = [bytearray(nx * ny) for _ in range(nt)]
-    # state variables in manager order: px block, py block, theta block
-    for start, length in m.sat_runs(pred, enc.all_state_vars):
+    # cell codes in declaration order: px bits, py bits, theta bits
+    for start, length in runs:
         for idx in range(start, start + length):
             x, rem = divmod(idx, ny * nt)
             y, t = divmod(rem, nt)
@@ -427,14 +447,14 @@ def cmd_solve(cfg, files=()):
     else:
         plan = build_plan(cfg)
         interfaces = [traverse(c, plan, enc) for c in comps]
-    out = _out_dir(cfg)
-    write_resolved_config(cfg, out)
+    out = _start_output(cfg)
     res, basin, _ = solve_game(cfg, enc, interfaces, goal)
     goal_states = enc.count_states(goal)
     with open(os.path.join(out, "trace.csv"), "w") as fh:
         res.trace.write_csv(fh)
+    runs = enc.cell_runs(res.winning.pred)
     with open(os.path.join(out, "winning_cells.csv"), "w") as fh:
-        dump_cell_runs(enc, res.winning.pred, fh)
+        dump_cell_runs(runs, fh)
     run_meta = {"objective": cfg["objective"]["kind"],
                 "basin_states": basin, "goal_states": goal_states,
                 "iterations": res.iterations,
@@ -444,7 +464,7 @@ def cmd_solve(cfg, files=()):
     with open(os.path.join(out, "controller.txt"), "w") as fh:
         save_interface(res.controller, fh, meta=run_meta)
     if cfg["images"]:
-        _write_slices(enc, res.winning.pred, out)
+        _write_slices(enc, runs, out)
     print("%s: basin %d states (goal %d), %d iterations, stop=%s"
           % (cfg["objective"]["kind"], basin, goal_states,
              res.iterations, res.trace.stop_reason))
@@ -454,7 +474,8 @@ def cmd_solve(cfg, files=()):
 # -- experiments ------------------------------------------------------------
 #
 # Every experiment solves the configured objective with the configured
-# solver (`solve_game`); only what it varies differs from `solve`.
+# solver (`solve_game`); only what it varies differs from `solve`.  Each
+# one checks its parameters and sets up before it starts the output.
 
 def experiment_basin_vs_samples(cfg):
     """Basin growth with random sample count, against the exhaustive
@@ -466,6 +487,7 @@ def experiment_basin_vs_samples(cfg):
     _require(all(isinstance(n, int) and n >= 0 for n in counts),
              "experiment counts must be nonnegative integers")
     enc, comps, goal = _setup(cfg, "basin_vs_samples")
+    _start_output(cfg)
     runs = [("random", n, [RandomRects(n, seed=cfg["seed"] + i)
                            for i in range(len(comps))]) for n in counts]
     runs.append(("exhaustive", "", [Exhaustive()] * len(comps)))
@@ -496,6 +518,7 @@ def experiment_decomp_vs_mono(cfg):
     _require({c.name for c in comps} == {"px", "py", "theta"},
              "decomp_vs_mono needs the dubins system")
     plan = build_plan(cfg)
+    _start_output(cfg)
     parts = {c.name: traverse(c, plan, enc) for c in comps}
     # a solve frees what its own game does not reach, and the monolithic
     # game reaches none of the parts the later groupings compose
@@ -530,6 +553,7 @@ def experiment_greedy_cap(cfg):
                                     coarsen_threshold=threshold)))
     enc, comps, goal = _setup(cfg, "greedy_cap")
     plan = build_plan(cfg)
+    _start_output(cfg)
     interfaces = [traverse(c, plan, enc) for c in comps]
     rows = []
     results = {}
@@ -565,11 +589,9 @@ def cmd_experiment(name, cfg):
         raise ConfigError("unknown experiment %r (have: %s)"
                           % (name, ", ".join(sorted(EXPERIMENTS))))
     fn, header = EXPERIMENTS[name]
-    out = _out_dir(cfg)
-    write_resolved_config(cfg, out)
     outcome = fn(cfg)
     rows = outcome[0]
-    path = os.path.join(out, "%s.csv" % name)
+    path = os.path.join(cfg["out"], "%s.csv" % name)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:

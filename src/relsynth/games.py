@@ -346,12 +346,13 @@ def downsample_schedule(game, levels, max_iters=1_000_000):
     return _iterate(game, map(at, levels), max_iters)
 
 
-def dump_cell_runs(enc, pred, stream):
+def dump_cell_runs(runs, stream):
     """Write maximal runs of winning cell codes as `start,length` lines.
 
-    Cell codes concatenate the state dimensions' bits msb-first in
-    declaration order.
+    `runs` come from `Encoding.cell_runs`: cell codes concatenate the
+    state dimensions' bits msb-first in declaration order, whatever the
+    manager's variable order.
     """
     stream.write("start,length\n")
-    for start, length in enc.m.sat_runs(pred, enc.all_state_vars):
+    for start, length in runs:
         stream.write("%d,%d\n" % (start, length))

@@ -246,7 +246,7 @@ def load_interface(m, stream):
     """Read an interface saved by `save_interface`; returns (interface, meta).
 
     The manager must know every variable in the stream, in the same
-    relative order.
+    relative order; a stream in another order raises `bdd.OrderError`.
     """
     lines = stream.read().splitlines()
     if not lines or lines[0].strip() != "interface":

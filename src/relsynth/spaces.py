@@ -283,16 +283,25 @@ class Encoding:
 
     Each state dimension owns an interleaved block: current bit k sits
     right above next-state bit k (`px_0, px+_0, px_1, px+_1, ...`), so
-    transition relations and current/next renaming stay small.  Control
-    dimension bits come after every state block.  The layout, and hence
-    the manager's variable order, is fixed by the dimension lists.
+    transition relations and current/next renaming stay small.  A
+    control dimension owns a block of its own bits.  `level_order` lists
+    every dimension name once and places the blocks in the manager's
+    variable order, outermost first; by default the state blocks come in
+    declaration order and the control blocks after them.
+
+    The level order only shapes the diagrams.  Cell codes, and every
+    variable list this class hands out (`state_vars`, `all_state_vars`
+    and the rest), follow the declaration order of the dimension lists;
+    `cell_runs` reads a predicate's cells in that order whatever the
+    level order is.
     """
 
-    def __init__(self, state_dims, control_dims=(), cap=None):
+    def __init__(self, state_dims, control_dims=(), cap=None,
+                 level_order=None):
         self.state_dims = list(state_dims)
         self.control_dims = list(control_dims)
         self.dims = {}
-        order = []
+        blocks = {}
         self._state_vars = {}
         self._next_vars = {}
         self._control_vars = {}
@@ -300,12 +309,9 @@ class Encoding:
             if d.name in self.dims:
                 raise BddError("duplicate dimension name %r" % d.name)
             self.dims[d.name] = d
-            cur, nxt = [], []
-            for k in range(d.bits):
-                cur.append("%s_%d" % (d.name, k))
-                nxt.append("%s+_%d" % (d.name, k))
-                order.append(cur[-1])
-                order.append(nxt[-1])
+            cur = ["%s_%d" % (d.name, k) for k in range(d.bits)]
+            nxt = ["%s+_%d" % (d.name, k) for k in range(d.bits)]
+            blocks[d.name] = [v for pair in zip(cur, nxt) for v in pair]
             self._state_vars[d.name] = cur
             self._next_vars[d.name] = nxt
         for d in self.control_dims:
@@ -313,9 +319,15 @@ class Encoding:
                 raise BddError("duplicate dimension name %r" % d.name)
             self.dims[d.name] = d
             vs = ["%s_%d" % (d.name, k) for k in range(d.bits)]
+            blocks[d.name] = vs
             self._control_vars[d.name] = vs
-            order.extend(vs)
-        self.m = BDD(order, cap=cap)
+        if level_order is None:
+            level_order = list(self.dims)
+        elif sorted(level_order) != sorted(self.dims):
+            raise BddError("level order %r must name every dimension once"
+                           % (list(level_order),))
+        self.m = BDD([v for name in level_order for v in blocks[name]],
+                     cap=cap)
         self.prime_map = {}
         for d in self.state_dims:
             for c, n in zip(self._state_vars[d.name], self._next_vars[d.name]):
@@ -393,6 +405,21 @@ class Encoding:
             for k, v in enumerate(vs):
                 asg[v] = bool((idx >> (d.bits - 1 - k)) & 1)
         return asg
+
+    def cell_runs(self, pred):
+        """Runs `(start, length)` of the state cells in `pred`.
+
+        Cell codes concatenate the state dimensions' bits msb-first in
+        declaration order.  `sat_runs` reads bits in level order, so
+        under another level order the predicate is first transferred
+        into a manager over the state bits in declaration order.
+        """
+        xs = self.all_state_vars
+        levels = [self.m.level_of(v) for v in xs]
+        if levels == sorted(levels):
+            return self.m.sat_runs(pred, xs)
+        cells = BDD(xs)
+        return cells.sat_runs(self.m.transfer(pred, cells), xs)
 
     def count_states(self, pred):
         """Number of state cells in a predicate over current-state bits."""

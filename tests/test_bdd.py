@@ -285,6 +285,22 @@ def test_sat_runs():
         assert got == want
 
 
+def test_transfer_keeps_the_function_across_orders():
+    m = BDD(["a", "b", "c", "d"])
+    targets = [BDD(["d", "c", "b", "a"]), BDD(["c", "x", "a", "d", "b"]),
+               BDD(["a", "b", "c", "d"])]
+    rng = random.Random(31)
+    names = ["a", "b", "c", "d"]
+    for _ in range(30):
+        e = rand_expr(rng, names, 12)
+        f = build_expr(m, e)
+        for t in targets:
+            # canonicity: the copy is the handle the target builds itself
+            assert m.transfer(f, t) == build_expr(t, e)
+    with pytest.raises(BddError):
+        m.transfer(m.var("d"), BDD(["a", "b"]))
+
+
 def test_sweep_keeps_roots_and_frees_garbage():
     names = ["v%d" % i for i in range(8)]
     m = BDD(names)

@@ -5,11 +5,13 @@ import os
 import pytest
 import yaml
 
+import relsynth.cli as cli
 import relsynth.games as games
 from relsynth.bdd import BDD
 from relsynth.cli import (ConfigError, build_system, cmd_experiment,
                           load_config, main)
 from relsynth.interfaces import load_interface
+from relsynth.spaces import Encoding
 
 
 def write_config(path, **extra):
@@ -25,6 +27,13 @@ def read_csv_rows(path):
     with open(path) as fh:
         header, *rows = fh.read().strip().splitlines()
     return header.split(","), [r.split(",") for r in rows]
+
+
+def declaration_order(monkeypatch):
+    """Build every system in the declaration order of its dimensions,
+    the layout the vehicle had before its heading moved to the top."""
+    monkeypatch.setattr(cli, "Encoding",
+                        lambda *a, level_order=None, **kw: Encoding(*a, **kw))
 
 
 def drop_seconds(path):
@@ -108,6 +117,44 @@ def test_repeat_runs_are_deterministic(tmp_path):
     assert a == b and a["version"]
 
 
+def test_level_order_keeps_cells_and_slices(tmp_path, monkeypatch):
+    """The vehicle's level order changes the diagrams, not the cells:
+    a solve in the declaration order writes the same cell runs and
+    slice images."""
+    cfg = write_config(tmp_path / "c.yaml", bits=4, out=str(tmp_path / "new"))
+    assert main(["solve", "--config", cfg]) == 0
+    with monkeypatch.context() as mp:
+        declaration_order(mp)
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "old")]) == 0
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert (new / "winning.txt").read_text().count("vars: theta_0 ") == 1
+    assert (old / "winning.txt").read_text().count("vars: px_0 ") == 1
+    slices = sorted(n for n in os.listdir(new) if n.startswith("slice_"))
+    assert len(slices) == 16
+    for name in ["winning_cells.csv"] + slices:
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
+def test_interface_file_of_another_order_exits_2(tmp_path, monkeypatch,
+                                                 capsys):
+    """An interface file is tied to the variable order it was written
+    in; a vehicle file in the declaration order does not load."""
+    cfg = write_config(tmp_path / "c.yaml", out=str(tmp_path / "abs"))
+    with monkeypatch.context() as mp:
+        declaration_order(mp)
+        assert main(["abstract", "--config", cfg]) == 0
+    paths = [str(tmp_path / "abs" / ("interface_%s.txt" % n))
+             for n in ("px", "py", "theta")]
+    capsys.readouterr()
+    assert main(["solve", "--config", cfg,
+                 "--out", str(tmp_path / "run")] + paths) == 2
+    err = capsys.readouterr().err
+    assert "variable order differs from this system's" in err
+    assert "re-run `relsynth abstract`" in err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_slice_images_partition_the_basin(tmp_path):
     cfg = write_config(tmp_path / "c.yaml", out=str(tmp_path / "run"))
     assert main(["solve", "--config", cfg]) == 0
@@ -155,6 +202,11 @@ def test_config_errors_exit_2(tmp_path):
                            **extra)
         assert main(["solve", "--config", cfg]) == 2, extra
         assert not os.path.exists(tmp_path / "rm"), extra
+    # an experiment sets up before it writes anything
+    cfg = write_config(tmp_path / "m.yaml", out=str(tmp_path / "re"),
+                       view={"pz": 2})
+    assert main(["experiment", "decomp_vs_mono", "--config", cfg]) == 2
+    assert not os.path.exists(tmp_path / "re")
     good = write_config(tmp_path / "ok.yaml", out=str(tmp_path / "r"))
     assert main(["solve", "--config", good,
                  str(tmp_path / "nofile.txt")]) == 2

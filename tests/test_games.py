@@ -499,5 +499,5 @@ def test_trace_csv_and_cell_runs():
 
     enc = counter_encoding(2)
     runs = io.StringIO()
-    dump_cell_runs(enc, cells_pred(enc, "px", [1, 2]), runs)
+    dump_cell_runs(enc.cell_runs(cells_pred(enc, "px", [1, 2])), runs)
     assert runs.getvalue() == "start,length\n1,2\n"

@@ -11,6 +11,7 @@ from relsynth.spaces import (Dimension, Encoding, cell_box, cell_range,
                              code_range, discrete_domain_predicate,
                              encode_cell, encode_set, point_cell, quantizer,
                              value_cell)
+from util import build_expr, rand_expr
 
 
 def bits_vars(m, dim, prefix="x"):
@@ -388,6 +389,65 @@ def test_encoding_layout():
     g = m.rename(f, enc.prime_map)
     assert m.support(g) <= set(enc.all_next_vars)
     assert m.rename(g, enc.unprime_map) == f
+
+
+def test_encoding_level_order():
+    px = Dimension.continuous("px", -2, 2, 2)
+    py = Dimension.continuous("py", -2, 2, 3)
+    th = Dimension.continuous("th", -math.pi, math.pi, 2, periodic=True)
+    v = Dimension.discrete("v", [0.25, 0.5])
+    w = Dimension.discrete("w", [-1.0, 0.0, 1.0])
+    enc = Encoding([px, py, th], [v, w], level_order=["th", "v", "w", "px",
+                                                     "py"])
+    m = enc.m
+    assert m.var_names == [
+        "th_0", "th+_0", "th_1", "th+_1", "v_0", "w_0", "w_1",
+        "px_0", "px+_0", "px_1", "px+_1",
+        "py_0", "py+_0", "py_1", "py+_1", "py_2", "py+_2"]
+    # every state block stays interleaved
+    for name in ("px", "py", "th"):
+        for c, n in zip(enc.state_vars(name), enc.next_vars(name)):
+            assert m.level_of(n) == m.level_of(c) + 1
+    # the variable lists keep the declaration order
+    assert enc.state_vars("py") == ["py_0", "py_1", "py_2"]
+    assert enc.all_state_vars == ["px_0", "px_1", "py_0", "py_1", "py_2",
+                                  "th_0", "th_1"]
+    assert enc.all_next_vars == [x.replace("_", "+_")
+                                 for x in enc.all_state_vars]
+    assert enc.all_control_vars == ["v_0", "w_0", "w_1"]
+    # the default is the declaration order, controls after the states
+    plain = Encoding([px, py, th], [v, w])
+    assert plain.m.var_names == [
+        x for d in ("px", "py", "th") for pair in zip(
+            plain.state_vars(d), plain.next_vars(d)) for x in pair] \
+        + ["v_0", "w_0", "w_1"]
+    for bad in (["th", "v", "w", "px"], ["th", "v", "w", "px", "px"],
+                ["th", "v", "w", "px", "pz"]):
+        with pytest.raises(BddError):
+            Encoding([px, py, th], [v, w], level_order=bad)
+
+
+def test_cell_runs_read_the_declaration_order():
+    """Under any level order, cell runs equal plain `sat_runs` over the
+    state bits of a declaration-order encoding of the same system."""
+    px = Dimension.continuous("px", -2, 2, 2)
+    py = Dimension.continuous("py", -2, 2, 1)
+    th = Dimension.continuous("th", -math.pi, math.pi, 2, periodic=True)
+    v = Dimension.discrete("v", [0.25, 0.5])
+    plain = Encoding([px, py, th], [v])
+    xs = plain.all_state_vars
+    rng = random.Random(77)
+    for order in (["th", "v", "px", "py"], ["py", "th", "px", "v"],
+                  ["v", "px", "py", "th"]):
+        enc = Encoding([px, py, th], [v], level_order=order)
+        for _ in range(25):
+            e = rand_expr(rng, xs, 12)
+            f = build_expr(enc.m, e)
+            want = plain.m.sat_runs(build_expr(plain.m, e), xs)
+            assert enc.cell_runs(f) == want
+            assert plain.cell_runs(build_expr(plain.m, e)) == want
+        assert enc.cell_runs(enc.m.true) == [(0, 32)]
+        assert enc.cell_runs(enc.m.false) == []
 
 
 def test_encoding_assignments():
