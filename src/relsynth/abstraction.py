@@ -210,9 +210,8 @@ def _signature(comp, enc):
 
 
 def _range_pred(m, vd, rng, bit_vars, memo):
-    """Predicate of a `cell_range` result: None is no cell, a whole turn
-    of a periodic dimension is every cell, and a range that passes the
-    last cell wraps on to the first.
+    """Predicate of a `cell_range` result: None is no cell, and a range
+    that passes the last cell wraps on to the first.
 
     `memo` keeps the predicates already built, keyed on the view
     dimension, the range and the bits; it must not outlive a sweep.
@@ -223,8 +222,6 @@ def _range_pred(m, vd, rng, bit_vars, memo):
         return f
     if rng is None:
         f = m.false
-    elif vd.periodic and rng[1] - rng[0] + 1 == vd.cells:
-        f = m.true
     elif rng[1] < vd.cells:
         f = code_range(m, bit_vars, *rng)
     else:

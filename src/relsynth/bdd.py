@@ -18,18 +18,32 @@ Design notes:
     (reduction, hash-consing, free-list reuse and the live-node cap);
   - `_make_lattice` serves `and` and `or`, which differ only in their
     terminal cases;
-  - `_make_quant` serves `exists` and `forall`, one kernel per cube;
+  - `_make_quant` serves `exists` and `forall` (as `_make_exists` and
+    `_make_forall`);
   - `_make_not`;
   - `_make_implies_forall`, the one fused kernel: `forall(cube, a -> b)`
     is the controlled-predecessor step of the solver.
 - The other operations are derived: `implies` is `not a or b`, `xor` is
-  `(a and not b) or (not a and b)`, and `and_exists(w, f, g)` is
-  `not implies_forall(w, f, not g)`.  Canonicity makes each derived
-  result handle-equal to the one a dedicated kernel would build.
+  `(a and not b) or (not a and b)`, `and_exists(w, f, g)` is
+  `not implies_forall(w, f, not g)`, and `leq(a, b)` holds iff the fused
+  kernel over every level gives 1 (it makes no nodes, since every
+  result is a constant).  Canonicity makes each derived result
+  handle-equal to the one a dedicated kernel would build.
+- The kernels that depend on a cube (`exists`, `forall`, the fused one)
+  live in one operation cache keyed on (factory, cube), built on first
+  use and kept for the manager's life.
 - The kernels capture the store containers (node arrays, unique table,
   free list, live counter and memo tables) once, when they are built.
   `sweep` therefore mutates those containers in place and never rebinds
   them; a rebound container would leave every kernel on a stale copy.
+  Every memo starts empty and a sweep empties them all; no kernel seeds
+  its memo, so none needs reseeding.
+- One walk, `_reach`, collects the nodes reachable from a set of roots;
+  `support`, `node_count` and the mark phase of `sweep` all read it.
+- The recursive helpers of single calls (`rename`, `sat_count`,
+  `sat_runs`, `transfer`, `to_text`) refer to themselves, so each call
+  deletes its helper before returning; otherwise every call would leave
+  a reference cycle for the cyclic garbage collector.
 - Memory is reclaimed only by an explicit `sweep(roots)` between solver
   iterations.  Handles passed as roots (plus any `protect`-ed handles)
   survive a sweep; every other handle becomes invalid.  No operation ever
@@ -143,12 +157,13 @@ def _make_lattice(m, zero):
 
 def _make_not(m):
     var, lo, hi = m._var, m._lo, m._hi
-    memo = {0: 1, 1: 0}
+    memo = {}
     m._memos.append(memo)
-    m._not_memo = memo
     node = m._node
 
     def rec(a):
+        if a < 2:
+            return 1 - a
         r = memo.get(a)
         if r is not None:
             return r
@@ -190,14 +205,22 @@ def _make_quant(m, cube, join, stop):
     return rec
 
 
+def _make_exists(m, cube):
+    return _make_quant(m, cube, m._or, 1)
+
+
+def _make_forall(m, cube):
+    return _make_quant(m, cube, m._and, 0)
+
+
 def _make_implies_forall(m, cube):
     """Fused `forall(cube, a -> b)`; equals the composite by construction."""
     var, lo, hi = m._var, m._lo, m._hi
     and_ = m._and
     or_ = m._or
     not_ = m._not
-    ex = m._exists_op(cube)
-    fa = m._forall_op(cube)
+    ex = m._op(_make_exists, cube)
+    fa = m._op(_make_forall, cube)
     maxq = max(cube)
     node = m._node
     memo = {}
@@ -288,9 +311,10 @@ class BDD:
         self._and = _make_lattice(self, 0)
         self._or = _make_lattice(self, 1)
         self._not = _make_not(self)
-        self._exists_ops = {}
-        self._forall_ops = {}
-        self._impall_ops = {}
+        # (factory, cube) -> kernel; see `_op`
+        self._ops = {}
+        # every level, for `leq`; the terminal level n keeps it non-empty
+        self._every_level = frozenset(range(n + 1))
 
     # -- node store ------------------------------------------------------
 
@@ -322,19 +346,11 @@ class BDD:
 
     def var(self, name):
         """Handle of the predicate that is true iff `name` is true."""
-        try:
-            v = self._level[name]
-        except KeyError:
-            raise BddError("unknown variable: %r" % (name,)) from None
-        return self._node(v, 0, 1)
+        return self._node(self.level_of(name), 0, 1)
 
     def nvar(self, name):
         """Handle of the negated variable `name`."""
-        try:
-            v = self._level[name]
-        except KeyError:
-            raise BddError("unknown variable: %r" % (name,)) from None
-        return self._node(v, 1, 0)
+        return self._node(self.level_of(name), 1, 0)
 
     def level_of(self, name):
         try:
@@ -381,54 +397,18 @@ class BDD:
         """True iff `a -> b` is valid (a below b pointwise)."""
         self._check(a)
         self._check(b)
-        var, lo, hi = self._var, self._lo, self._hi
-        seen = set()
-
-        def rec(x, y):
-            if x == 0 or y == 1 or x == y:
-                return True
-            if x == 1 or y == 0:
-                return False
-            k = (x << _SHIFT) | y
-            if k in seen:
-                return True
-            vx, vy = var[x], var[y]
-            if vx <= vy:
-                x0, x1 = lo[x], hi[x]
-            else:
-                x0 = x1 = x
-            if vy <= vx:
-                y0, y1 = lo[y], hi[y]
-            else:
-                y0 = y1 = y
-            if not rec(x0, y0) or not rec(x1, y1):
-                return False
-            seen.add(k)
-            return True
-
-        return rec(a, b)
+        return self._op(_make_implies_forall, self._every_level)(a, b) == 1
 
     # -- quantifiers -------------------------------------------------------
 
     def _levels(self, names):
         return frozenset(self.level_of(name) for name in names)
 
-    def _exists_op(self, cube):
-        op = self._exists_ops.get(cube)
+    def _op(self, make, cube):
+        """The kernel `make(self, cube)`, built on first use."""
+        op = self._ops.get((make, cube))
         if op is None:
-            op = self._exists_ops[cube] = _make_quant(self, cube, self._or, 1)
-        return op
-
-    def _forall_op(self, cube):
-        op = self._forall_ops.get(cube)
-        if op is None:
-            op = self._forall_ops[cube] = _make_quant(self, cube, self._and, 0)
-        return op
-
-    def _impall_op(self, cube):
-        op = self._impall_ops.get(cube)
-        if op is None:
-            op = self._impall_ops[cube] = _make_implies_forall(self, cube)
+            op = self._ops[make, cube] = make(self, cube)
         return op
 
     def exists(self, names, f):
@@ -437,7 +417,7 @@ class BDD:
         cube = self._levels(names)
         if not cube:
             return f
-        return self._exists_op(cube)(f)
+        return self._op(_make_exists, cube)(f)
 
     def forall(self, names, f):
         """Universally quantify the variables `names` out of `f`."""
@@ -445,7 +425,7 @@ class BDD:
         cube = self._levels(names)
         if not cube:
             return f
-        return self._forall_op(cube)(f)
+        return self._op(_make_forall, cube)(f)
 
     def and_exists(self, names, f, g):
         """`exists(names, f & g)` without building the conjunction.
@@ -457,7 +437,7 @@ class BDD:
         cube = self._levels(names)
         if not cube:
             return self._and(f, g)
-        return self._not(self._impall_op(cube)(f, self._not(g)))
+        return self._not(self._op(_make_implies_forall, cube)(f, self._not(g)))
 
     def implies_forall(self, names, f, g):
         """`forall(names, f -> g)` without building the implication."""
@@ -466,7 +446,7 @@ class BDD:
         cube = self._levels(names)
         if not cube:
             return self._or(self._not(f), g)
-        return self._impall_op(cube)(f, g)
+        return self._op(_make_implies_forall, cube)(f, g)
 
     # -- structure ----------------------------------------------------------
 
@@ -503,22 +483,27 @@ class BDD:
                 memo[u] = r
             return r
 
-        return rec(f)
+        r = rec(f)
+        del rec
+        return r
 
-    def _support_levels(self, f):
-        var, lo, hi = self._var, self._lo, self._hi
+    def _reach(self, roots):
+        """The set of internal nodes reachable from `roots`."""
+        lo, hi = self._lo, self._hi
         seen = set()
-        levels = set()
-        stack = [f]
+        stack = list(roots)
         while stack:
             u = stack.pop()
             if u < 2 or u in seen:
                 continue
             seen.add(u)
-            levels.add(var[u])
             stack.append(lo[u])
             stack.append(hi[u])
-        return levels
+        return seen
+
+    def _support_levels(self, f):
+        var = self._var
+        return {var[u] for u in self._reach([f])}
 
     def support(self, f):
         """Set of variable names `f` depends on."""
@@ -527,20 +512,7 @@ class BDD:
 
     def node_count(self, f):
         """Number of internal nodes reachable from `f` (constants free)."""
-        self._check(f)
-        lo, hi = self._lo, self._hi
-        seen = set()
-        stack = [f]
-        n = 0
-        while stack:
-            u = stack.pop()
-            if u < 2 or u in seen:
-                continue
-            seen.add(u)
-            n += 1
-            stack.append(lo[u])
-            stack.append(hi[u])
-        return n
+        return len(self._reach([self._check(f)]))
 
     def sat_count(self, f, support=None):
         """Number of satisfying assignments over `support`.
@@ -574,6 +546,7 @@ class BDD:
             return c
 
         total = rec(f) << self._var[f] if f >= 2 else (1 << n) * f
+        del rec
         return total >> (n - width)
 
     def eval(self, f, assignment):
@@ -636,6 +609,7 @@ class BDD:
 
         runs = []
         rec(f, 0, 0)
+        del rec
         if pending is not None:
             runs.append(pending)
         return runs
@@ -663,7 +637,9 @@ class BDD:
                 memo[u] = r
             return r
 
-        return rec(f)
+        r = rec(f)
+        del rec
+        return r
 
     # -- serialization -------------------------------------------------------
 
@@ -686,6 +662,7 @@ class BDD:
             return i
 
         root = rec(f)
+        del rec
         lines.append("root %d" % root)
         return "\n".join(lines) + "\n"
 
@@ -755,20 +732,11 @@ class BDD:
     def sweep(self, roots=()):
         """Reclaim every node not reachable from `roots` or protected.
 
-        Handles other than the surviving ones become invalid.  All
-        operation caches are dropped.  Returns (live, freed) counts.
+        Handles other than the surviving ones become invalid.  Every
+        kernel's memo is emptied.  Returns (live, freed) counts.
         """
         var, lo, hi = self._var, self._lo, self._hi
-        keep = set()
-        stack = [self._check(r) for r in roots]
-        stack.extend(self._protected)
-        while stack:
-            u = stack.pop()
-            if u < 2 or u in keep:
-                continue
-            keep.add(u)
-            stack.append(lo[u])
-            stack.append(hi[u])
+        keep = self._reach([*map(self._check, roots), *self._protected])
         unique = self._unique
         unique.clear()
         freed = 0
@@ -785,7 +753,5 @@ class BDD:
                 free.append(u)
         for memo in self._memos:
             memo.clear()
-        self._not_memo[0] = 1
-        self._not_memo[1] = 0
         self._live[0] = len(keep) + 2
         return len(keep), freed

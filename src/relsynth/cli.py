@@ -348,7 +348,6 @@ def cmd_abstract(cfg):
 def _load_components(enc, paths, cfg):
     m = enc.m
     comps = []
-    known = set(m.var_names)
     for path in paths:
         try:
             with open(path) as fh:
@@ -364,9 +363,6 @@ def _load_components(enc, paths, cfg):
                 "so re-run `relsynth abstract` to rebuild it" % path)
         except BddError as e:
             raise ConfigError("%s: %s" % (path, e))
-        if not set(f.inputs) | set(f.outputs) <= known:
-            raise ConfigError("%s uses variables outside this system's "
-                              "encoding" % path)
         if meta.get("system") == cfg["system"] \
                 and meta.get("bits") not in (None, cfg["bits"]):
             raise ConfigError(

@@ -172,8 +172,7 @@ def is_shared_refinable(f1, f2):
     if not f1.same_signature(f2):
         raise BddError("shared refinability needs identical signatures")
     m = f1.m
-    both = m.and_exists(f1.outputs, f1.pred, f2.pred) if f1.outputs \
-        else m.apply("and", f1.pred, f2.pred)
+    both = m.and_exists(f1.outputs, f1.pred, f2.pred)
     nb1 = m.exists(f1.outputs, f1.pred)
     nb2 = m.exists(f2.outputs, f2.pred)
     return m.leq(m.apply("and", nb1, nb2), both)

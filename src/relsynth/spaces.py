@@ -169,7 +169,9 @@ def code_range(m, bit_vars, a, b):
         half = size >> 1
         return m._node(levels[k], rec(k + 1, lo, hi),
                        rec(k + 1, lo - half, hi - half))
-    return rec(0, a, b)
+    f = rec(0, a, b)
+    del rec  # rec refers to itself; free it without the cyclic collector
+    return f
 
 
 def cell_range(dim, interval, side):

@@ -358,6 +358,7 @@ def test_kernels_match_table_oracle_after_sweep():
     m = BDD(names)
     rng = random.Random(113)
     cubes = [rng.sample(names, i % 4) for i in range(12)]
+    tables = {}  # live handle -> truth table, for leq
 
     def check(w):
         ef, eg = rand_expr(rng, names, 12), rand_expr(rng, names, 12)
@@ -372,6 +373,20 @@ def test_kernels_match_table_oracle_after_sweep():
             assert truth_table(m, m.apply(op, f, g), names) == want
         want = tuple(not a for a in tf)
         assert truth_table(m, m.apply("not", f), names) == want
+        # leq runs on the fused kernel's cache, which a sweep must clear;
+        # leq, support and node_count read the store and add no node
+        tables.update({f: tf, g: tg})
+        tables[m.apply("and", f, g)] = tuple(a and b for a, b in zip(tf, tg))
+        size = m.size
+        for a, ta in tables.items():
+            for b, tb in tables.items():
+                assert m.leq(a, b) == all(not x or y for x, y in zip(ta, tb))
+        n = len(names)
+        assert m.support(f) == {v for k, v in enumerate(names)
+                                if any(t != tf[i ^ (1 << (n - 1 - k))]
+                                       for i, t in enumerate(tf))}
+        m.node_count(f)
+        assert m.size == size
         ops = {"exists": m.exists(w, f), "forall": m.forall(w, f),
                "and_exists": m.and_exists(w, f, g),
                "implies_forall": m.implies_forall(w, f, g)}
@@ -392,5 +407,6 @@ def test_kernels_match_table_oracle_after_sweep():
     keep = rand_pred(m, rng, names, 16)
     _, freed = m.sweep([keep])
     assert freed > 0
+    tables.clear()
     for w in cubes:
         check(w)

@@ -270,6 +270,27 @@ def test_out_of_order_interface_file_exits_2(tmp_path):
     assert main(["solve", "--config", cfg2, str(bad)]) == 2
 
 
+@pytest.mark.parametrize("field", ["vars:", "inputs:"])
+def test_interface_file_naming_an_unknown_variable_exits_2(tmp_path, capsys,
+                                                           field):
+    toy = {"system": "toy1d",
+           "objective": {"kind": "reach", "box": {"x": [0.25, 0.5]},
+                         "encode": "inner"}}
+    cfg = write_config(tmp_path / "c.yaml", out=str(tmp_path / "abs"), **toy)
+    assert main(["abstract", "--config", cfg]) == 0
+    lines = (tmp_path / "abs" / "interface_hold.txt").read_text().splitlines()
+    [i] = [i for i, ln in enumerate(lines) if ln.startswith(field)]
+    lines[i] += " pz_0"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    cfg2 = write_config(tmp_path / "c2.yaml", out=str(tmp_path / "run"),
+                        **toy)
+    capsys.readouterr()
+    assert main(["solve", "--config", cfg2, str(bad)]) == 2
+    assert "%s: unknown variable: 'pz_0'" % bad in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_unknown_experiment_rejected(tmp_path):
     cfg = load_config(write_config(tmp_path / "c.yaml",
                                    out=str(tmp_path / "r")))

@@ -1,5 +1,6 @@
 """Space encoding tests against per-cell enumeration oracles."""
 
+import gc
 import math
 import random
 
@@ -137,6 +138,31 @@ def test_code_range_brute_force():
         assert got == want
     with pytest.raises(BddError):
         code_range(m, vs[::-1], 0, 3)
+
+
+def test_single_calls_leave_no_reference_cycles():
+    # a recursive helper that stays bound to itself after the call is a
+    # reference cycle that only the cyclic garbage collector frees
+    bits = ["a", "b", "c"]
+    m = BDD(bits + ["a+", "b+", "c+"])
+    other = BDD(bits[::-1])
+    f = code_range(m, bits, 2, 5)
+    calls = {
+        "code_range": lambda: code_range(m, bits, 1, 6),
+        "rename": lambda: m.rename(f, {v: v + "+" for v in bits}),
+        "sat_count": lambda: m.sat_count(f),
+        "sat_runs": lambda: m.sat_runs(f, bits),
+        "transfer": lambda: m.transfer(f, other),
+        "to_text": lambda: m.to_text(f),
+    }
+    for name, call in calls.items():
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+        finally:
+            gc.enable()
+        assert gc.collect() == 0, name
 
 
 def test_encode_set_frozen_values():
