@@ -24,8 +24,21 @@ closed form
 
     (OR_k I_k) and AND_k (I_k -> O_k)
 
-which `traverse` accumulates with balanced trees instead of folding
-`refine` one sample at a time; the tests pin the equality.
+over the accepted samples.  A plan yields product blocks: one list of
+values per input, whose boxes are every combination of one value per
+input (one block for `Exhaustive`, one per size for `ShiftedGrids`, a
+single box per block for `RandomRects`).  With `I = C_1 and ... and C_n`
+over a block's inputs, the identity `(a and b) -> o = a -> (b -> o)`
+nests both parts of a block as one recursion over its inputs, in BDD
+level order:
+
+    nb = OR_c (C_c and nb_c)        io = AND_c (C_c -> io_c)
+
+down to `(1, O)` for an accepted box and `(0, 1)` for a blocked one, so
+each value is encoded once and no per-sample `and` tree is built.
+`traverse` joins the blocks' parts with balanced trees as
+`(OR nb) and (AND io)`; this needs no disjointness of the boxes, and
+the tests pin the equality with the `refine` fold.
 
 Samples whose successor interval escapes a non-periodic state domain
 yield the bottom interface: the abstraction blocks those inputs, which
@@ -231,54 +244,82 @@ def _range_pred(m, vd, rng, bit_vars, memo):
     return f
 
 
-def _sample_parts(comp, box, enc, memo):
-    """(input predicate, output predicate) of one sample, None if the
-    box covers no cell or the successors escape the output domain.
+def _encode_value(comp, enc, name, bit_vars, value, memo):
+    """(cell predicate, evaluator value) of one value of input `name`.
 
-    The evaluator runs on the union of the cells the box covers, so
-    every accepted cell's points are accounted for.  `memo` is the cell
-    predicate memo of `_range_pred`.
+    A continuous value is a half-open box side: its predicate covers the
+    cells it meets at the component's view precision, and the evaluator
+    gets the closure of those cells, so every accepted cell's points are
+    accounted for.  The predicate is false if the value covers no cell.
+    A discrete value must be one of the dimension's values.
     """
     m = enc.m
-    if set(box) != set(comp.input_names()):
+    d = enc.dims[name]
+    lo, hi = _as_interval(value)
+    if d.is_discrete:
+        if lo != hi or lo not in d.values:
+            raise BddError("discrete input %s needs a single valid value"
+                           % name)
+        return encode_set(m, d, (lo, hi), bit_vars, "outer"), lo
+    if not d.periodic and (lo < d.lo - 1e-9 or hi > d.hi + 1e-9):
+        raise BddError("input box for %s is outside its domain" % name)
+    vd = _view_dim(d, comp.view_bits(d))
+    rng = cell_range(vd, (lo, hi), "half_open")
+    if rng is None:
+        return m.false, None
+    i, j = rng
+    return (_range_pred(m, vd, rng, bit_vars[:vd.bits], memo),
+            (d.lo + i * vd.width,
+             d.hi if j + 1 == vd.cells else d.lo + (j + 1) * vd.width))
+
+
+def _block_parts(comp, block, enc, memo):
+    """`(nb, io)` of one product block, a map from every input of `comp`
+    to a list of values: `OR I` and `AND (I -> O)` over the block's
+    boxes whose successors stay in the output domain, built by the
+    recursion of the module notes with each value encoded once.  The
+    inputs are taken by the level of their first bit, top first, so each
+    join puts one input's cell predicates above the diagrams of the
+    inputs below it.  `memo` is the cell predicate memo of `_range_pred`.
+    """
+    m = enc.m
+    if set(block) != set(comp.input_names()):
         raise BddError("sample box must cover exactly %s"
                        % sorted(comp.input_names()))
-    ipred = m.true
-    ev_box = {}
+    axes = []
     for role, names in (("state", comp.state_inputs),
                         ("control", comp.control_inputs)):
         for name in names:
-            d = enc.dims[name]
             bit_vars = _dim_vars(enc, name, role)
-            lo, hi = _as_interval(box[name])
-            if d.is_discrete:
-                if lo != hi or lo not in d.values:
-                    raise BddError(
-                        "discrete input %s needs a single valid value"
-                        % name)
-                ev_box[name] = lo
-                cells = encode_set(m, d, (lo, hi), bit_vars, "outer")
-            else:
-                if not d.periodic and (lo < d.lo - 1e-9 or hi > d.hi + 1e-9):
-                    raise BddError("input box for %s is outside its domain"
-                                   % name)
-                vd = _view_dim(d, comp.view_bits(d))
-                rng = cell_range(vd, (lo, hi), "half_open")
-                if rng is None:
-                    return None
-                i, j = rng
-                cells = _range_pred(m, vd, rng, bit_vars[:vd.bits], memo)
-                ev_box[name] = (d.lo + i * vd.width,
-                                d.hi if j + 1 == vd.cells
-                                else d.lo + (j + 1) * vd.width)
-            ipred = m.apply("and", ipred, cells)
-    a, b = _as_interval(comp.evaluator(ev_box))
+            values = [_encode_value(comp, enc, name, bit_vars, x, memo)
+                      for x in block[name]]
+            axes.append((m.level_of(bit_vars[0]) if bit_vars else -1, name,
+                         [(c, x) for c, x in values if c != m.false]))
+    axes.sort(key=lambda axis: axis[0])
     d = enc.dims[comp.output]
     vd = _view_dim(d, comp.view_bits(d))
-    if not d.periodic and (a < d.lo or b > d.hi):
-        return None
-    return ipred, _range_pred(m, vd, cell_range(vd, (a, b), "half_open"),
-                              enc.next_vars(comp.output)[:vd.bits], memo)
+    out_vars = enc.next_vars(comp.output)[:vd.bits]
+    ev_box = {}
+
+    def rec(k):
+        if k == len(axes):
+            a, b = _as_interval(comp.evaluator(dict(ev_box)))
+            if not d.periodic and (a < d.lo or b > d.hi):
+                return m.false, m.true
+            return m.true, _range_pred(
+                m, vd, cell_range(vd, (a, b), "half_open"), out_vars, memo)
+        name = axes[k][1]
+        nbs, ios = [], []
+        for cells, x in axes[k][2]:
+            ev_box[name] = x
+            nb, io = rec(k + 1)
+            if nb != m.false:  # then io is true: the value adds nothing
+                nbs.append(m.apply("and", cells, nb))
+                ios.append(m.apply("implies", cells, io))
+        return _tree(m, "or", nbs, m.false), _tree(m, "and", ios, m.true)
+    parts = rec(0)
+    del rec  # rec refers to itself; free it without the cyclic collector
+    return parts
 
 
 def sample_to_interface(comp, box, enc):
@@ -292,10 +333,9 @@ def sample_to_interface(comp, box, enc):
     """
     m = enc.m
     ins, outs = _signature(comp, enc)
-    parts = _sample_parts(comp, box, enc, {})
-    if parts is None:
-        return Interface(m, ins, outs, m.false)
-    return Interface(m, ins, outs, m.apply("and", *parts))
+    nb, io = _block_parts(comp, {name: [x] for name, x in box.items()},
+                          enc, {})
+    return Interface(m, ins, outs, m.apply("and", nb, io))
 
 
 # -- traversal plans -------------------------------------------------------
@@ -331,42 +371,45 @@ class ShiftedGrids:
     sizes: tuple
 
 
-def _axes(comp, enc, slices):
-    """Sample values per input of `comp`: every value of a discrete
-    input, and `slices(d)` equal half-open slices of a continuous one."""
-    axes = []
+def _grid_block(comp, enc, slices):
+    """The block of every value of a discrete input and `slices(d)` equal
+    half-open slices of a continuous one."""
+    block = {}
     for name in comp.input_names():
         d = enc.dims[name]
         if d.is_discrete:
-            axes.append([(v, v) for v in d.values])
+            block[name] = [(v, v) for v in d.values]
             continue
         n = slices(d)
         step = (d.hi - d.lo) / n
-        axes.append([(d.lo + i * step, d.lo + (i + 1) * step)
-                     for i in range(n)])
-    return axes
+        block[name] = [(d.lo + i * step, d.lo + (i + 1) * step)
+                       for i in range(n)]
+    return block
 
 
-def _plan_boxes(comp, plan, enc):
-    names = comp.input_names()
+def _plan_blocks(comp, plan, enc):
+    """The product blocks of `plan`, each a map from every input of
+    `comp` to its list of values: one block for `Exhaustive`, one per
+    size for `ShiftedGrids`, and one single box per draw for
+    `RandomRects`."""
     if isinstance(plan, RandomRects):
         if plan.count < 0:
             raise BddError("sample count must be nonnegative")
         rng = random.Random(plan.seed)
         for _ in range(plan.count):
-            box = {}
-            for name in names:
+            block = {}
+            for name in comp.input_names():
                 d = enc.dims[name]
                 if d.is_discrete:
-                    box[name] = rng.choice(d.values)
+                    block[name] = [rng.choice(d.values)]
                     continue
                 width = rng.uniform(0.0, d.hi - d.lo)
                 off = rng.uniform(d.lo, d.hi)
                 if d.periodic:
-                    box[name] = (off, off + width)
+                    block[name] = [(off, off + width)]
                 else:
-                    box[name] = (off, min(off + width, d.hi))
-            yield box
+                    block[name] = [(off, min(off + width, d.hi))]
+            yield block
         return
     if isinstance(plan, Exhaustive):
         bits = plan.bits or {}
@@ -377,18 +420,24 @@ def _plan_boxes(comp, plan, enc):
             if not d.is_discrete and not 0 <= k <= d.bits:
                 raise BddError("plan bits %r out of range for %s"
                                % (k, name))
-        grids = [lambda d: 1 << bits.get(d.name, comp.view_bits(d))]
-    elif isinstance(plan, ShiftedGrids):
-        if not plan.sizes:
-            raise BddError("shifted grids need at least one size")
-        if any(size < 1 for size in plan.sizes):
-            raise BddError("grid size must be positive")
-        grids = [lambda d, size=size: size for size in plan.sizes]
-    else:
+        yield _grid_block(
+            comp, enc, lambda d: 1 << bits.get(d.name, comp.view_bits(d)))
+        return
+    if not isinstance(plan, ShiftedGrids):
         raise BddError("unknown traversal plan %r" % (plan,))
-    for slices in grids:
-        for combo in itertools.product(*_axes(comp, enc, slices)):
-            yield dict(zip(names, combo))
+    if not plan.sizes:
+        raise BddError("shifted grids need at least one size")
+    if any(size < 1 for size in plan.sizes):
+        raise BddError("grid size must be positive")
+    for size in plan.sizes:
+        yield _grid_block(comp, enc, lambda d: size)
+
+
+def _plan_boxes(comp, plan, enc):
+    """Every sample box of `plan`: its blocks flattened."""
+    for block in _plan_blocks(comp, plan, enc):
+        for combo in itertools.product(*block.values()):
+            yield dict(zip(block, combo))
 
 
 def _tree(m, op, parts, unit):
@@ -406,19 +455,20 @@ def traverse(comp, plan, enc):
 
     Equivalent to folding `refine` over the samples starting from the
     universal abstraction, so the result abstracts the concrete map and
-    grows in the refinement order as samples are added.
+    grows in the refinement order as samples are added.  Each block of
+    the plan gives its `(nb, io)` from one nested recursion, and
+    balanced trees join the blocks as `(OR nb) and (AND io)` (see the
+    module notes).
     """
     m = enc.m
     ins, outs = _signature(comp, enc)
     nb_parts, io_parts = [], []
-    # cell predicates repeat across samples; traverse never sweeps
+    # cell predicates repeat across blocks; traverse never sweeps
     memo = {}
-    for box in _plan_boxes(comp, plan, enc):
-        parts = _sample_parts(comp, box, enc, memo)
-        if parts is None:
-            continue
-        nb_parts.append(parts[0])
-        io_parts.append(m.apply("implies", parts[0], parts[1]))
+    for block in _plan_blocks(comp, plan, enc):
+        nb, io = _block_parts(comp, block, enc, memo)
+        nb_parts.append(nb)
+        io_parts.append(io)
     pred = m.apply("and", _tree(m, "or", nb_parts, m.false),
                    _tree(m, "and", io_parts, m.true))
     return Interface(m, ins, outs, pred)

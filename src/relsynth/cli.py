@@ -383,20 +383,18 @@ def _write_slices(enc, runs, out):
     nx = enc.dims["px"].cells
     ny = enc.dims["py"].cells
     nt = enc.dims["theta"].cells
-    rasters = [bytearray(nx * ny) for _ in range(nt)]
-    # cell codes in declaration order: px bits, py bits, theta bits
+    # indexed by cell code, in declaration order: px bits, py bits, theta
+    # bits, so the cells (x, y, t) for x = 0, 1, ... are ny * nt apart
+    flat = bytearray(nx * ny * nt)
     for start, length in runs:
-        for idx in range(start, start + length):
-            x, rem = divmod(idx, ny * nt)
-            y, t = divmod(rem, nt)
-            rasters[t][(ny - 1 - y) * nx + x] = 1
-    for t, raster in enumerate(rasters):
+        flat[start:start + length] = b"\x01" * length
+    for t in range(nt):
         path = os.path.join(out, "slice_theta_%03d.pgm" % t)
         with open(path, "w") as fh:
             fh.write("P2\n# heading bin %d of %d\n%d %d\n255\n"
                      % (t, nt, nx, ny))
-            for row in range(ny):
-                line = raster[row * nx:(row + 1) * nx]
+            for y in range(ny - 1, -1, -1):
+                line = flat[y * nt + t::ny * nt]
                 fh.write(" ".join("255" if v else "0" for v in line))
                 fh.write("\n")
     return nt

@@ -23,14 +23,14 @@ def idx_assign(bit_vars, idx):
             for k, v in enumerate(bit_vars)}
 
 
-def dubins_encoding(bits, cap=None):
+def dubins_encoding(bits, cap=None, level_order=None):
     dims = [Dimension.continuous("px", -2.0, 2.0, bits),
             Dimension.continuous("py", -2.0, 2.0, bits),
             Dimension.continuous("theta", -math.pi, math.pi, bits,
                                  periodic=True)]
     ctrl = [Dimension.discrete("v", (0.25, 0.5)),
             Dimension.discrete("omega", (-1.5, 0.0, 1.5))]
-    return Encoding(dims, ctrl, cap=cap)
+    return Encoding(dims, ctrl, cap=cap, level_order=level_order)
 
 
 def dubins_point_step(name, point, length=1.4):
@@ -360,24 +360,48 @@ def test_plan_validation():
 
 
 def test_traverse_equals_refine_fold():
-    """The closed-form accumulation matches folding refine sample by
-    sample from the universal abstraction."""
-    enc = dubins_encoding(3)
-    m = enc.m
-    comp = {c.name: c for c in dubins_components()}["theta"]
+    """The nested per-block accumulation matches folding refine sample
+    by sample from the universal abstraction: in both variable orders,
+    on every plan, with a view coarser than the plan's boxes, and with
+    samples whose successors leave the domain."""
     from relsynth.abstraction import _plan_boxes
-    for plan in (RandomRects(25, seed=7), ShiftedGrids((3,)),
-                 Exhaustive()):
-        folded = Interface(m,
-                           enc.state_vars("theta") + enc.all_control_vars,
-                           enc.next_vars("theta"), m.false)
-        for box in _plan_boxes(comp, plan, enc):
-            folded = refine(folded,
-                            sample_to_interface(comp, box, enc))
-        closed = traverse(comp, plan, enc)
-        assert closed.pred == folded.pred
-        assert closed.inputs == folded.inputs
-        assert closed.outputs == folded.outputs
+    for level_order in (None, ("theta", "v", "omega", "px", "py")):
+        enc = dubins_encoding(3, level_order=level_order)
+        m = enc.m
+        for view in (None, {"px": 2, "theta": 2}):
+            comps = {c.name: c for c in dubins_components(view=view)}
+            blocked = 0
+            for name in ("px", "theta"):
+                comp = comps[name]
+                ins = [v for n in comp.state_inputs
+                       for v in enc.state_vars(n)]
+                ins += [v for n in comp.control_inputs
+                        for v in enc.control_vars(n)]
+                for plan in (RandomRects(25, seed=7), ShiftedGrids((3, 5)),
+                             Exhaustive(), Exhaustive(bits={"px": 2})):
+                    folded = Interface(m, ins, enc.next_vars(name), m.false)
+                    for box in _plan_boxes(comp, plan, enc):
+                        f = sample_to_interface(comp, box, enc)
+                        blocked += f.pred == m.false
+                        folded = refine(folded, f)
+                    closed = traverse(comp, plan, enc)
+                    assert closed.pred == folded.pred, (name, plan, view)
+                    assert closed.inputs == folded.inputs
+                    assert closed.outputs == folded.outputs
+            assert blocked > 0
+
+
+def test_traverse_rejects_bad_successor_intervals():
+    """An evaluator that returns NaN or an inverted interval fails the
+    traversal instead of encoding some cells."""
+    enc, _ = toy_identity_setup()
+    for bad in ((float("nan"), 1.0), (2.0, 1.0), float("nan")):
+        comp = DynamicsComponent("bad", ("x",), (), "x",
+                                 lambda box, bad=bad: bad)
+        for plan in (Exhaustive(), RandomRects(3, seed=1),
+                     ShiftedGrids((3,))):
+            with pytest.raises(BddError):
+                traverse(comp, plan, enc)
 
 
 def test_overlapping_samples_stay_consistent():
