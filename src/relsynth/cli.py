@@ -8,11 +8,11 @@ results, so an output directory is self-describing and a run can be
 repeated byte-for-byte from it (timing columns excepted).
 
 Exit codes: 0 success, 2 configuration or input error, 3 node store
-exhausted or out of memory.
+exhausted or out of memory.  A command creates its output directory
+only after its work has succeeded, so a failed run leaves none behind.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -21,8 +21,9 @@ import time
 import yaml
 
 from relsynth import __version__
-from relsynth.abstraction import (DynamicsComponent, Exhaustive, RandomRects,
-                                  ShiftedGrids, dubins_components, traverse)
+from relsynth.abstraction import (DUBINS_LENGTH, DynamicsComponent,
+                                  Exhaustive, RandomRects, ShiftedGrids,
+                                  dubins_components, traverse)
 from relsynth.bdd import BddError, CapacityError, OrderError
 from relsynth.games import Game, downsample_schedule, dump_cell_runs, solve
 from relsynth.interfaces import comp, load_interface, save_interface
@@ -38,7 +39,7 @@ class ConfigError(Exception):
 DEFAULTS = {
     "system": "dubins",
     "bits": 7,
-    "length": 1.4,
+    "length": DUBINS_LENGTH,
     "view": None,
     "dims": None,
     "controls": None,
@@ -58,6 +59,7 @@ DEFAULTS = {
 _PLAN_KEYS = {"exhaustive": {"kind", "bits"},
               "random_rects": {"kind", "count", "seed"},
               "shifted_grids": {"kind", "sizes"}}
+_GRID_SIZES = (4, 5)
 
 
 def _check_keys(mapping, allowed, where):
@@ -96,7 +98,7 @@ def load_config(path, overrides=None):
         cfg[key] = val
     for key, val in (overrides or {}).items():
         if val is not None:
-            if key in ("max_iters", "coarsen_threshold"):
+            if key in DEFAULTS["solver"]:
                 cfg["solver"] = dict(cfg["solver"])
                 cfg["solver"][key] = val
             else:
@@ -132,7 +134,7 @@ def _validate(cfg):
     _check_keys(plan, _PLAN_KEYS[plan["kind"]], "plan")
     _check_bit_map(plan.get("bits"), "plan bits")
     _check_bit_map(cfg["view"], "view")
-    sizes = plan.get("sizes", [4, 5])
+    sizes = plan.get("sizes", _GRID_SIZES)
     _require(isinstance(sizes, (list, tuple)) and sizes
              and all(isinstance(x, int) for x in sizes),
              "plan sizes must be a nonempty list of integers")
@@ -145,7 +147,7 @@ def _validate(cfg):
     obj = cfg["objective"]
     _require(isinstance(obj, dict) and isinstance(cfg["solver"], dict),
              "objective and solver must be mappings")
-    _check_keys(obj, {"kind", "box", "encode"}, "objective")
+    _check_keys(obj, DEFAULTS["objective"], "objective")
     _require(obj.get("kind") in ("reach", "safe"),
              "objective kind must be reach or safe")
     _require(obj.get("encode", "inner") in ("inner", "outer"),
@@ -160,8 +162,7 @@ def _validate(cfg):
                  "objective box for %s must be [lo, hi] with finite "
                  "numbers" % name)
     sol = cfg["solver"]
-    _check_keys(sol, {"max_iters", "coarsen_threshold", "downsample"},
-                "solver")
+    _check_keys(sol, DEFAULTS["solver"], "solver")
     _require(isinstance(sol["max_iters"], int) and sol["max_iters"] >= 0,
              "solver max_iters must be a nonnegative integer")
     thr = sol["coarsen_threshold"]
@@ -173,10 +174,7 @@ def _validate(cfg):
                  "solver downsample must be a nonempty list of levels")
         for level in ds:
             if isinstance(level, dict):
-                for name, b in level.items():
-                    _require(isinstance(b, int) and b >= 0,
-                             "downsample bits for %s must be a "
-                             "nonnegative integer" % name)
+                _check_bit_map(level, "downsample bits")
             else:
                 _require(isinstance(level, int) and level >= 0,
                          "downsample level must be an integer or a "
@@ -186,17 +184,14 @@ def _validate(cfg):
         _require(thr is None,
                  "downsample and coarsen_threshold cannot be combined")
     _require(isinstance(cfg["seed"], int), "seed must be an integer")
-    cap = cfg["cap"]
-    _require(cap is None or (isinstance(cap, int) and cap > 0),
-             "cap must be a positive integer node budget")
     if cfg["system"] == "custom":
         _require(cfg["dims"], "custom system needs a dims list")
 
 
-def _dim_bits(cfg, name, default=None):
+def _dim_bits(cfg, name, default=DEFAULTS["bits"]):
     bits = cfg["bits"]
     if isinstance(bits, dict):
-        return bits.get(name, default if default is not None else 7)
+        return bits.get(name, default)
     return bits
 
 
@@ -266,7 +261,7 @@ def build_plan(cfg):
         _require(isinstance(count, int) and count >= 0,
                  "plan count must be a nonnegative integer")
         return RandomRects(count, seed=plan.get("seed", cfg["seed"]))
-    return ShiftedGrids(tuple(plan.get("sizes", [4, 5])))
+    return ShiftedGrids(tuple(plan.get("sizes", _GRID_SIZES)))
 
 
 def build_goal(cfg, enc):
@@ -283,46 +278,46 @@ def build_goal(cfg, enc):
         raise ConfigError("objective box: %s" % e)
 
 
-def write_resolved_config(cfg, out):
-    resolved = dict(cfg)
-    resolved["version"] = __version__
-    with open(os.path.join(out, "config.yaml"), "w") as fh:
-        yaml.safe_dump(resolved, fh, sort_keys=True,
-                       default_flow_style=False)
-
-
 def _start_output(cfg):
-    """Create the output directory and write `config.yaml` into it.
+    """Create the output directory, write the resolved `config.yaml`
+    (with the tool version) into it and return its path.
 
-    A command calls this once its setup has passed, so a configuration
-    error leaves no output behind.
+    Each command calls this once, after its work has succeeded and just
+    before it writes its results, so a run that fails (exit 2 or 3)
+    leaves no output directory behind.
     """
-    path = cfg["out"]
-    os.makedirs(path, exist_ok=True)
-    write_resolved_config(cfg, path)
-    return path
+    out = cfg["out"]
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "config.yaml"), "w") as fh:
+        yaml.safe_dump(dict(cfg, version=__version__), fh, sort_keys=True,
+                       default_flow_style=False)
+    return out
 
 
 # -- subcommands ------------------------------------------------------------
 
 def cmd_abstract(cfg):
-    """Build one interface file per dynamics component."""
+    """Build every dynamics component's interface, then write one
+    interface file per component."""
     enc, comps = build_system(cfg)
     if comps is None:
         raise ConfigError(
             "custom systems have no evaluator; supply interface files "
             "to `solve` instead")
     plan = build_plan(cfg)
-    out = _start_output(cfg)
     m = enc.m
-    paths = []
+    built = []
     for c in comps:
         t0 = time.perf_counter()
         f = traverse(c, plan, enc)
-        build_s = time.perf_counter() - t0
+        built.append((c, f, time.perf_counter() - t0))
         if f.pred == m.false:
             print("warning: component %s abstracted to bottom "
                   "(no samples accepted)" % c.name, file=sys.stderr)
+        # keep the interfaces built so far; free the rest for the next
+        m.sweep([g.pred for _, g, _ in built])
+    out = _start_output(cfg)
+    for c, f, build_s in built:
         meta = {
             "component": c.name,
             "output": c.output,
@@ -337,12 +332,8 @@ def cmd_abstract(cfg):
         path = os.path.join(out, "interface_%s.txt" % c.name)
         with open(path, "w") as fh:
             save_interface(f, fh, meta=meta)
-        paths.append(path)
         print("wrote %s (%d nodes, %.2fs)"
               % (path, m.node_count(f.pred), build_s))
-        # the file holds the component now; free its nodes for the next
-        m.sweep()
-    return paths
 
 
 def _load_components(enc, paths, cfg):
@@ -373,7 +364,8 @@ def _load_components(enc, paths, cfg):
 
 
 def _write_slices(enc, runs, out):
-    """One PGM per heading bin: white = winning (px across, py up).
+    """One binary PGM per heading bin: white = winning (px across,
+    py up).
 
     `runs` are the winning cell runs from `Encoding.cell_runs`.
     """
@@ -383,20 +375,19 @@ def _write_slices(enc, runs, out):
     nx = enc.dims["px"].cells
     ny = enc.dims["py"].cells
     nt = enc.dims["theta"].cells
-    # indexed by cell code, in declaration order: px bits, py bits, theta
-    # bits, so the cells (x, y, t) for x = 0, 1, ... are ny * nt apart
+    # pixel values indexed by cell code, in declaration order: px bits,
+    # py bits, theta bits, so the cells (x, y, t) for x = 0, 1, ... are
+    # ny * nt apart and each image row is one strided slice
     flat = bytearray(nx * ny * nt)
     for start, length in runs:
-        flat[start:start + length] = b"\x01" * length
+        flat[start:start + length] = b"\xff" * length
     for t in range(nt):
         path = os.path.join(out, "slice_theta_%03d.pgm" % t)
-        with open(path, "w") as fh:
-            fh.write("P2\n# heading bin %d of %d\n%d %d\n255\n"
+        with open(path, "wb") as fh:
+            fh.write(b"P5\n# heading bin %d of %d\n%d %d\n255\n"
                      % (t, nt, nx, ny))
             for y in range(ny - 1, -1, -1):
-                line = flat[y * nt + t::ny * nt]
-                fh.write(" ".join("255" if v else "0" for v in line))
-                fh.write("\n")
+                fh.write(flat[y * nt + t::ny * nt])
     return nt
 
 
@@ -441,9 +432,9 @@ def cmd_solve(cfg, files=()):
     else:
         plan = build_plan(cfg)
         interfaces = [traverse(c, plan, enc) for c in comps]
-    out = _start_output(cfg)
     res, basin, _ = solve_game(cfg, enc, interfaces, goal)
     goal_states = enc.count_states(goal)
+    out = _start_output(cfg)
     with open(os.path.join(out, "trace.csv"), "w") as fh:
         res.trace.write_csv(fh)
     runs = enc.cell_runs(res.winning.pred)
@@ -468,8 +459,7 @@ def cmd_solve(cfg, files=()):
 # -- experiments ------------------------------------------------------------
 #
 # Every experiment solves the configured objective with the configured
-# solver (`solve_game`); only what it varies differs from `solve`.  Each
-# one checks its parameters and sets up before it starts the output.
+# solver (`solve_game`); only what it varies differs from `solve`.
 
 def experiment_basin_vs_samples(cfg):
     """Basin growth with random sample count, against the exhaustive
@@ -481,7 +471,6 @@ def experiment_basin_vs_samples(cfg):
     _require(all(isinstance(n, int) and n >= 0 for n in counts),
              "experiment counts must be nonnegative integers")
     enc, comps, goal = _setup(cfg, "basin_vs_samples")
-    _start_output(cfg)
     runs = [("random", n, [RandomRects(n, seed=cfg["seed"] + i)
                            for i in range(len(comps))]) for n in counts]
     runs.append(("exhaustive", "", [Exhaustive()] * len(comps)))
@@ -512,7 +501,6 @@ def experiment_decomp_vs_mono(cfg):
     _require({c.name for c in comps} == {"px", "py", "theta"},
              "decomp_vs_mono needs the dubins system")
     plan = build_plan(cfg)
-    _start_output(cfg)
     parts = {c.name: traverse(c, plan, enc) for c in comps}
     # a solve frees what its own game does not reach, and the monolithic
     # game reaches none of the parts the later groupings compose
@@ -540,14 +528,13 @@ def experiment_greedy_cap(cfg):
     """Solves with and without the node-count cap; a capped reach basin
     must stay under the exact one."""
     _check_keys(cfg["experiment"], (), "experiment")
+    # the capped solve is the configured one with a threshold, which a
+    # downsample schedule would ignore
+    _require(cfg["solver"]["downsample"] is None,
+             "greedy_cap cannot run under a downsample schedule")
     threshold = cfg["solver"]["coarsen_threshold"] or 3000
-    # the capped solve is the configured one with this threshold, which
-    # a downsample schedule cannot take
-    _validate(dict(cfg, solver=dict(cfg["solver"],
-                                    coarsen_threshold=threshold)))
     enc, comps, goal = _setup(cfg, "greedy_cap")
     plan = build_plan(cfg)
-    _start_output(cfg)
     interfaces = [traverse(c, plan, enc) for c in comps]
     rows = []
     results = {}
@@ -585,7 +572,7 @@ def cmd_experiment(name, cfg):
     fn, header = EXPERIMENTS[name]
     outcome = fn(cfg)
     rows = outcome[0]
-    path = os.path.join(cfg["out"], "%s.csv" % name)
+    path = os.path.join(_start_output(cfg), "%s.csv" % name)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:

@@ -177,7 +177,8 @@ def greedy_coarsen(game, z, node_threshold):
     enc = game.enc
     events = 0
     xs = enc.all_state_vars
-    while m.node_count(z) > node_threshold:
+    nodes = m.node_count(z)
+    while nodes > node_threshold:
         sup = m.support(z)
         best = None
         for i, d in enumerate(enc.state_dims):
@@ -193,8 +194,8 @@ def greedy_coarsen(game, z, node_threshold):
         _, _, bit, trial = best
         z = trial
         events += 1
-        log.debug("coarsened away %s, %d nodes left", bit,
-                  m.node_count(z))
+        nodes = m.node_count(z)
+        log.debug("coarsened away %s, %d nodes left", bit, nodes)
     return z, events
 
 

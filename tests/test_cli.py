@@ -163,12 +163,11 @@ def test_slice_images_partition_the_basin(tmp_path):
                     for line in fh.read().splitlines()[1:])
     white = 0
     for t in range(8):
-        with open(tmp_path / "run" / ("slice_theta_%03d.pgm" % t)) as fh:
-            magic, _comment, size, depth, *rows = fh.read().splitlines()
-        assert magic == "P2" and size == "8 8" and depth == "255"
-        pixels = " ".join(rows).split()
-        assert len(pixels) == 64 and set(pixels) <= {"0", "255"}
-        white += sum(1 for p in pixels if p == "255")
+        data = (tmp_path / "run" / ("slice_theta_%03d.pgm" % t)).read_bytes()
+        magic, _comment, size, depth, pixels = data.split(b"\n", 4)
+        assert magic == b"P5" and size == b"8 8" and depth == b"255"
+        assert len(pixels) == 64 and set(pixels) <= {0, 255}
+        white += pixels.count(255)
     assert white == basin
 
 
@@ -187,6 +186,7 @@ def test_config_errors_exit_2(tmp_path):
     cap = write_config(tmp_path / "cap.yaml", cap=1 << 28,
                        out=str(tmp_path / "rc"))
     assert main(["abstract", "--config", cap]) == 2
+    assert not os.path.exists(tmp_path / "rc")
     # malformed values are configuration errors, not tracebacks
     for extra in ({"objective": {"kind": "reach",
                                  "box": {"px": ["abc", 1]}}},
@@ -197,6 +197,8 @@ def test_config_errors_exit_2(tmp_path):
                   {"view": {"pz": 2}},
                   {"bits": {"px": 3, "py": 3, "theta": 3, "pz": 9}},
                   {"length": "abc"},
+                  {"cap": 0},
+                  {"cap": "many"},
                   {"objective": 3}):
         cfg = write_config(tmp_path / "m.yaml", out=str(tmp_path / "rm"),
                            **extra)
@@ -210,6 +212,29 @@ def test_config_errors_exit_2(tmp_path):
     good = write_config(tmp_path / "ok.yaml", out=str(tmp_path / "r"))
     assert main(["solve", "--config", good,
                  str(tmp_path / "nofile.txt")]) == 2
+
+
+@pytest.mark.parametrize("command, extra", [
+    (["abstract"], {"plan": {"kind": "exhaustive", "bits": {"pz": 2}}}),
+    (["abstract"], {"plan": {"kind": "exhaustive", "bits": {"px": 9}}}),
+    (["abstract"], {"view": {"px": 9}}),
+    (["abstract"], {"plan": {"kind": "shifted_grids", "sizes": [0]}}),
+    (["solve"], {"solver": {"downsample": [{"pz": 2}]}}),
+    (["solve"], {"solver": {"downsample": [{"px": 9}]}}),
+    (["experiment", "decomp_vs_mono"], {"view": {"px": 9}}),
+    (["experiment", "greedy_cap"],
+     {"plan": {"kind": "exhaustive", "bits": {"pz": 1}}}),
+], ids=["abstract-plan-bits-name", "abstract-plan-bits-range",
+        "abstract-view", "abstract-grid-size", "solve-downsample-name",
+        "solve-downsample-range", "decomp_vs_mono-view",
+        "greedy_cap-plan-bits-name"])
+def test_late_errors_leave_no_output(tmp_path, command, extra):
+    """An error the library raises after setup still exits 2, and the
+    command has written nothing: the output starts after the work."""
+    cfg = write_config(tmp_path / "c.yaml", out=str(tmp_path / "out"),
+                       **extra)
+    assert main(command + ["--config", cfg]) == 2
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_plan_bits_may_name_one_component_input(tmp_path):
@@ -480,7 +505,6 @@ def test_downsample_schedule_matches_plain_solve(tmp_path):
 
 
 def test_downsample_validation_errors(tmp_path):
-    out = str(tmp_path / "r")
     cases = [
         {"solver": {"downsample": []}},
         {"solver": {"downsample": [1, 3], "coarsen_threshold": 50}},
@@ -493,5 +517,8 @@ def test_downsample_validation_errors(tmp_path):
                        "encode": "outer"}},
     ]
     for i, extra in enumerate(cases):
-        cfg = write_config(tmp_path / ("c%d.yaml" % i), out=out, **extra)
-        assert main(["solve", "--config", cfg]) == 2
+        out = tmp_path / ("r%d" % i)
+        cfg = write_config(tmp_path / ("c%d.yaml" % i), out=str(out),
+                           **extra)
+        assert main(["solve", "--config", cfg]) == 2, extra
+        assert not os.path.exists(out), extra
