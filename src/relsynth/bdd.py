@@ -10,8 +10,7 @@ logically equivalent iff their handles are equal.
 Design notes:
 
 - The variable order is fixed at construction.  There is no dynamic
-  reordering; callers choose the order when they build their spaces,
-  and `transfer` copies a predicate into a manager of another order.
+  reordering; callers choose the order when they build their spaces.
 - Every operation runs on five kernel factories, each a closure over the
   node store:
   - `_make_node` becomes `m._node`, the one place nodes are made
@@ -41,9 +40,13 @@ Design notes:
 - One walk, `_reach`, collects the nodes reachable from a set of roots;
   `support`, `node_count` and the mark phase of `sweep` all read it.
 - The recursive helpers of single calls (`rename`, `sat_count`,
-  `sat_runs`, `transfer`, `to_text`) refer to themselves, so each call
-  deletes its helper before returning; otherwise every call would leave
-  a reference cycle for the cyclic garbage collector.
+  `sat_runs`, `to_text`) refer to themselves, so each call deletes its
+  helper before returning; otherwise every call would leave a reference
+  cycle for the cyclic garbage collector.
+- The kernels refer to themselves too, and live as long as the
+  manager.  So a dropped manager empties the containers they captured,
+  in place as `sweep` does; otherwise its whole store would wait for
+  the cyclic collector.
 - Memory is reclaimed only by an explicit `sweep(roots)` between solver
   iterations.  Handles passed as roots (plus any `protect`-ed handles)
   survive a sweep; every other handle becomes invalid.  No operation ever
@@ -614,33 +617,6 @@ class BDD:
             runs.append(pending)
         return runs
 
-    def transfer(self, f, target):
-        """`f` rebuilt in the manager `target`, whatever its order.
-
-        `target` must know every variable in the support of `f`.  Each
-        node becomes `(x and f1) or (not x and f0)` in `target`, once
-        per node (Shannon expansion), so the cost follows the size of
-        the result in `target`'s order.
-        """
-        self._check(f)
-        var, lo, hi = self._var, self._lo, self._hi
-        names = self._names
-        and_, or_ = target._and, target._or
-        memo = {0: 0, 1: 1}
-
-        def rec(u):
-            r = memo.get(u)
-            if r is None:
-                name = names[var[u]]
-                r = or_(and_(target.var(name), rec(hi[u])),
-                        and_(target.nvar(name), rec(lo[u])))
-                memo[u] = r
-            return r
-
-        r = rec(f)
-        del rec
-        return r
-
     # -- serialization -------------------------------------------------------
 
     def to_text(self, f):
@@ -755,3 +731,11 @@ class BDD:
             memo.clear()
         self._live[0] = len(keep) + 2
         return len(keep), freed
+
+    def __del__(self):
+        # the kernels sit in reference cycles; free what they captured
+        if hasattr(self, "_ops"):  # not if __init__ raised
+            for store in (self._var, self._lo, self._hi, self._free):
+                del store[:]
+            for table in (self._unique, *self._memos):
+                table.clear()

@@ -367,7 +367,8 @@ def _write_slices(enc, runs, out):
     """One binary PGM per heading bin: white = winning (px across,
     py up).
 
-    `runs` are the winning cell runs from `Encoding.cell_runs`.
+    `runs` are the winning cell runs from `Encoding.cell_runs`, whose
+    codes follow the declaration order whatever the BDD order.
     """
     state_names = [d.name for d in enc.state_dims]
     if state_names != ["px", "py", "theta"]:
@@ -420,7 +421,7 @@ def solve_game(cfg, enc, interfaces, goal, **solver):
         res = solve(game, max_iters=sol["max_iters"],
                     coarsen_threshold=sol["coarsen_threshold"])
     seconds = time.perf_counter() - t0
-    return res, enc.m.sat_count(res.winning.pred, enc.all_state_vars), seconds
+    return res, enc.count_states(res.winning.pred), seconds
 
 
 def cmd_solve(cfg, files=()):

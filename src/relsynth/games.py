@@ -350,9 +350,10 @@ def downsample_schedule(game, levels, max_iters=1_000_000):
 def dump_cell_runs(runs, stream):
     """Write maximal runs of winning cell codes as `start,length` lines.
 
-    `runs` come from `Encoding.cell_runs`: cell codes concatenate the
-    state dimensions' bits msb-first in declaration order, whatever the
-    manager's variable order.
+    `runs` come from `Encoding.cell_runs`, in increasing order: cell
+    codes concatenate the state dimensions' bits msb-first in
+    declaration order, whatever the manager's variable order, and
+    `cell_runs` reads them off the solver's own diagram.
     """
     stream.write("start,length\n")
     for start, length in runs:

@@ -23,6 +23,7 @@ Conventions used throughout the package:
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 from relsynth.bdd import BDD, BddError
@@ -293,9 +294,11 @@ class Encoding:
 
     The level order only shapes the diagrams.  Cell codes, and every
     variable list this class hands out (`state_vars`, `all_state_vars`
-    and the rest), follow the declaration order of the dimension lists;
-    `cell_runs` reads a predicate's cells in that order whatever the
-    level order is.
+    and the rest), follow the declaration order of the dimension lists.
+    Since the level order moves whole blocks, among the current-state
+    bits each dimension's bits stay adjacent and msb-first in any order;
+    `cell_runs` relies on that to read a predicate's cells in
+    declaration order off the encoding's own diagram.
     """
 
     def __init__(self, state_dims, control_dims=(), cap=None,
@@ -386,42 +389,65 @@ class Encoding:
                 "and", f, encode_set(self.m, d, iv, vars_of[name], mode))
         return f
 
-    def state_assignment(self, point, role="state"):
-        """Bit assignment (name -> bool) of the cell containing `point`."""
-        vars_of = self._state_vars if role == "state" else self._next_vars
+    def _assignment(self, point, vars_of):
+        """Bit assignment (name -> bool) of the cell containing `point`,
+        over the variables `vars_of` gives each dimension."""
         asg = {}
         for name, x in point.items():
             d = self.dims[name]
             idx = point_cell(d, x)
-            vs = vars_of[name]
-            for k, v in enumerate(vs):
+            for k, v in enumerate(vars_of[name]):
                 asg[v] = bool((idx >> (d.bits - 1 - k)) & 1)
         return asg
+
+    def state_assignment(self, point, role="state"):
+        """Bit assignment of the state cell containing `point`; `role` is
+        'state' or 'next'."""
+        return self._assignment(point, self._state_vars if role == "state"
+                                else self._next_vars)
 
     def control_assignment(self, point):
-        asg = {}
-        for name, x in point.items():
-            d = self.dims[name]
-            idx = point_cell(d, x)
-            vs = self._control_vars[name]
-            for k, v in enumerate(vs):
-                asg[v] = bool((idx >> (d.bits - 1 - k)) & 1)
-        return asg
+        """Bit assignment of the control cell containing `point`."""
+        return self._assignment(point, self._control_vars)
 
     def cell_runs(self, pred):
-        """Runs `(start, length)` of the state cells in `pred`.
+        """Maximal runs `(start, length)` of the state cells in `pred`.
 
         Cell codes concatenate the state dimensions' bits msb-first in
-        declaration order.  `sat_runs` reads bits in level order, so
-        under another level order the predicate is first transferred
-        into a manager over the state bits in declaration order.
+        declaration order.  The level order only permutes whole state
+        blocks, so `sat_runs` over the state bits in level order reads
+        the same cells under a code whose blocks are permuted.  If the
+        blocks sit in declaration order, those runs are the answer.
+        Otherwise each run is written, one stretch of the lowest block
+        at a time, into a byte map indexed by declaration code
+        (`2**bits` bytes), and the runs are read back off the map.
+        Either way the call makes no node.
         """
-        xs = self.all_state_vars
-        levels = [self.m.level_of(v) for v in xs]
-        if levels == sorted(levels):
-            return self.m.sat_runs(pred, xs)
-        cells = BDD(xs)
-        return cells.sat_runs(self.m.transfer(pred, cells), xs)
+        m, xs = self.m, self._state_vars
+        decl = [d for d in self.state_dims if d.bits]
+        dims = sorted(decl, key=lambda d: m.level_of(xs[d.name][0]))
+        runs = m.sat_runs(pred, [v for d in dims for v in xs[d.name]])
+        if dims == decl:
+            return runs
+        # (shift, mask, weight) of each block's digit, lowest block
+        # first: its place in a level-order code, its weight in a
+        # declaration-order one
+        digits, shift = [], 0
+        for d in reversed(dims):
+            low = sum(e.bits for e in decl[decl.index(d) + 1:])
+            digits.append((shift, (1 << d.bits) - 1, 1 << low))
+            shift += d.bits
+        step, span = digits[0][2], 1 << dims[-1].bits
+        cells = bytearray(1 << shift)
+        for start, length in runs:
+            c, end = start, start + length
+            while c < end:
+                n = min(end - c, span - c % span)
+                base = sum((c >> s & mask) * w for s, mask, w in digits)
+                cells[base:base + n * step:step] = b"\xff" * n
+                c += n
+        return [(r.start(), r.end() - r.start())
+                for r in re.finditer(rb"\xff+", cells)]
 
     def count_states(self, pred):
         """Number of state cells in a predicate over current-state bits."""

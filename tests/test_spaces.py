@@ -145,14 +145,17 @@ def test_single_calls_leave_no_reference_cycles():
     # reference cycle that only the cyclic garbage collector frees
     bits = ["a", "b", "c"]
     m = BDD(bits + ["a+", "b+", "c+"])
-    other = BDD(bits[::-1])
     f = code_range(m, bits, 2, 5)
+    px = Dimension.continuous("px", 0, 1, 2)
+    py = Dimension.continuous("py", 0, 1, 1)
+    enc = Encoding([px, py], level_order=["py", "px"])
+    g = enc.state_box({"px": (0.25, 1), "py": (0.5, 1)})
     calls = {
         "code_range": lambda: code_range(m, bits, 1, 6),
         "rename": lambda: m.rename(f, {v: v + "+" for v in bits}),
         "sat_count": lambda: m.sat_count(f),
         "sat_runs": lambda: m.sat_runs(f, bits),
-        "transfer": lambda: m.transfer(f, other),
+        "cell_runs": lambda: enc.cell_runs(g),
         "to_text": lambda: m.to_text(f),
     }
     for name, call in calls.items():
@@ -459,21 +462,52 @@ def test_cell_runs_read_the_declaration_order():
     px = Dimension.continuous("px", -2, 2, 2)
     py = Dimension.continuous("py", -2, 2, 1)
     th = Dimension.continuous("th", -math.pi, math.pi, 2, periodic=True)
+    z = Dimension.continuous("z", 0, 1, 0)  # one cell, no bits
     v = Dimension.discrete("v", [0.25, 0.5])
-    plain = Encoding([px, py, th], [v])
-    xs = plain.all_state_vars
     rng = random.Random(77)
-    for order in (["th", "v", "px", "py"], ["py", "th", "px", "v"],
-                  ["v", "px", "py", "th"]):
-        enc = Encoding([px, py, th], [v], level_order=order)
-        for _ in range(25):
-            e = rand_expr(rng, xs, 12)
-            f = build_expr(enc.m, e)
-            want = plain.m.sat_runs(build_expr(plain.m, e), xs)
-            assert enc.cell_runs(f) == want
-            assert plain.cell_runs(build_expr(plain.m, e)) == want
-        assert enc.cell_runs(enc.m.true) == [(0, 32)]
-        assert enc.cell_runs(enc.m.false) == []
+    systems = [
+        ([px, py, th], (["th", "v", "px", "py"], ["py", "th", "px", "v"],
+                        ["v", "px", "py", "th"])),
+        # the lowest state block is 1 bit wide and not last declared
+        ([py, px, th], (["th", "px", "py", "v"], ["px", "v", "th", "py"])),
+        ([px, z, py, th], (["z", "th", "v", "px", "py"],
+                           ["th", "px", "py", "z", "v"],
+                           ["py", "z", "v", "px", "th"])),
+    ]
+    for states, orders in systems:
+        plain = Encoding(states, [v])
+        xs = plain.all_state_vars
+        for order in orders:
+            enc = Encoding(states, [v], level_order=order)
+            for _ in range(25):
+                e = rand_expr(rng, xs, 12)
+                f = build_expr(enc.m, e)
+                want = plain.m.sat_runs(build_expr(plain.m, e), xs)
+                assert enc.cell_runs(f) == want
+                assert plain.cell_runs(build_expr(plain.m, e)) == want
+            assert enc.cell_runs(enc.m.true) == [(0, 32)]
+            assert enc.cell_runs(enc.m.false) == []
+
+
+def test_cell_runs_make_no_node_and_no_manager(monkeypatch):
+    """A reordered encoding reads its cells off its own diagram."""
+    px = Dimension.continuous("px", -2, 2, 3)
+    py = Dimension.continuous("py", -2, 2, 2)
+    th = Dimension.continuous("th", -math.pi, math.pi, 3, periodic=True)
+    plain = Encoding([px, py, th])
+    enc = Encoding([px, py, th], level_order=["th", "px", "py"])
+    box = {"px": (-1.5, 0.5), "py": (-1, 2), "th": (2, -2)}
+    f = enc.state_box(box, "outer")
+    want = plain.m.sat_runs(plain.state_box(box, "outer"),
+                            plain.all_state_vars)
+    assert len(want) > 1
+
+    def no_manager(*args, **kwargs):
+        raise AssertionError("cell_runs built a manager")
+    monkeypatch.setattr("relsynth.spaces.BDD", no_manager)
+    size = enc.m.size
+    assert enc.cell_runs(f) == want
+    assert enc.m.size == size
 
 
 def test_encoding_assignments():
