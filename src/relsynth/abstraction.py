@@ -27,18 +27,40 @@ closed form
 over the accepted samples.  A plan yields product blocks: one list of
 values per input, whose boxes are every combination of one value per
 input (one block for `Exhaustive`, one per size for `ShiftedGrids`, a
-single box per block for `RandomRects`).  With `I = C_1 and ... and C_n`
-over a block's inputs, the identity `(a and b) -> o = a -> (b -> o)`
-nests both parts of a block as one recursion over its inputs, in BDD
-level order:
+single box per block for `RandomRects`).  Each `I_k` is a product of
+cell ranges, one per input at view precision, so the closed form only
+says, for each tuple of input cells, whether some accepted box covers
+it and which output cells every covering box allows.  The cells of an
+input partition its codes (a discrete input's cells are its values;
+codes naming no value are in no cell), so one recursion over the
+inputs in BDD level order builds it as
 
-    nb = OR_c (C_c and nb_c)        io = AND_c (C_c -> io_c)
+    pred = OR_c (C_c and pred_c)
 
-down to `(1, O)` for an accepted box and `(0, 1)` for a blocked one, so
-each value is encoded once and no per-sample `and` tree is built.
-`traverse` joins the blocks' parts with balanced trees as
-`(OR nb) and (AND io)`; this needs no disjointness of the boxes, and
-the tests pin the equality with the `refine` fold.
+where `C_c` is one cell of the current input (or a run of cells that
+lead to the same `pred_c`), and a leaf is the predicate of the allowed
+output cells, or false on a tuple that no box covers.  A BDD is
+canonical, so the result is handle-equal to the closed form however it
+is built; the tests pin the equality with a fold of `refine` over
+samples built box by box.  Every value is mapped to cells by
+`cell_range` alone, and no diagram is built per box.  A leaf is filled
+by one of two rules:
+
+- a plan of one block whose values meet disjoint cells on every input
+  (`Exhaustive` unless its `bits` are finer than the view) covers each
+  cell tuple with at most one box, and the leaf is the cells of that
+  box's successors, evaluated on the closure of its values;
+- any other plan numbers its accepted boxes and keeps, per input cell,
+  the bitset (a Python int) of the boxes that cover it, built from
+  start and end marks by a running XOR.  The recursion ANDs the
+  bitsets and skips a cell no box covers.  At a plain output, the
+  intersection of the covering boxes' successor ranges runs from the
+  greatest lower end to the least upper end, and each is the lowest set
+  bit of the bitset in its own rank order (boxes by lower end
+  descending, and by upper end ascending).  At a periodic output the
+  successor arcs can meet in two pieces, so the leaf keeps the cells of
+  the first covering box's arc that no covering box excludes, as an
+  `or` of code ranges.  An empty intersection blocks the cell.
 
 Samples whose successor interval escapes a non-periodic state domain
 yield the bottom interface: the abstraction blocks those inputs, which
@@ -207,12 +229,6 @@ def _view_dim(d, k):
     return Dimension(d.name, k, d.lo, d.hi, d.periodic, d.values)
 
 
-def _dim_vars(enc, name, role):
-    if role == "control":
-        return enc.control_vars(name)
-    return enc.state_vars(name)
-
-
 def _signature(comp, enc):
     ins = []
     for n in comp.state_inputs:
@@ -244,82 +260,245 @@ def _range_pred(m, vd, rng, bit_vars, memo):
     return f
 
 
-def _encode_value(comp, enc, name, bit_vars, value, memo):
-    """(cell predicate, evaluator value) of one value of input `name`.
-
-    A continuous value is a half-open box side: its predicate covers the
-    cells it meets at the component's view precision, and the evaluator
-    gets the closure of those cells, so every accepted cell's points are
-    accounted for.  The predicate is false if the value covers no cell.
-    A discrete value must be one of the dimension's values.
-    """
+def _input_axes(comp, enc):
+    """One `(name, dim, view dim, cell bits)` per input of `comp`, taken
+    by the level of its first bit, top first.  A discrete input keeps all
+    its bits and its cells are its values; a continuous one keeps the
+    leading bits of its view."""
     m = enc.m
-    d = enc.dims[name]
+    axes = []
+    for names, vars_of in ((comp.state_inputs, enc.state_vars),
+                           (comp.control_inputs, enc.control_vars)):
+        for name in names:
+            d, bit_vars = enc.dims[name], vars_of(name)
+            vd = d if d.is_discrete else _view_dim(d, comp.view_bits(d))
+            axes.append((m.level_of(bit_vars[0]) if bit_vars else -1,
+                         (name, d, vd, bit_vars[:vd.bits])))
+    axes.sort(key=lambda axis: axis[0])
+    return [axis for _, axis in axes]
+
+
+def _value_cells(name, d, vd, value):
+    """`(cell range, evaluator value)` of one value of input `name`.
+
+    A continuous value is a half-open box side: it covers the cells it
+    meets at the view precision, and the evaluator gets the closure of
+    those cells, so every accepted cell's points are accounted for.  The
+    range is None if the value covers no cell.  A discrete value must be
+    one of the dimension's values, and its cell is its index.
+    """
     lo, hi = _as_interval(value)
     if d.is_discrete:
         if lo != hi or lo not in d.values:
             raise BddError("discrete input %s needs a single valid value"
                            % name)
-        return encode_set(m, d, (lo, hi), bit_vars, "outer"), lo
+        i = d.values.index(lo)
+        return (i, i), lo
     if not d.periodic and (lo < d.lo - 1e-9 or hi > d.hi + 1e-9):
         raise BddError("input box for %s is outside its domain" % name)
-    vd = _view_dim(d, comp.view_bits(d))
     rng = cell_range(vd, (lo, hi), "half_open")
     if rng is None:
-        return m.false, None
+        return None, None
     i, j = rng
-    return (_range_pred(m, vd, rng, bit_vars[:vd.bits], memo),
-            (d.lo + i * vd.width,
-             d.hi if j + 1 == vd.cells else d.lo + (j + 1) * vd.width))
+    return rng, (d.lo + i * vd.width,
+                 d.hi if j + 1 == vd.cells else d.lo + (j + 1) * vd.width)
 
 
-def _block_parts(comp, block, enc, memo):
-    """`(nb, io)` of one product block, a map from every input of `comp`
-    to a list of values: `OR I` and `AND (I -> O)` over the block's
-    boxes whose successors stay in the output domain, built by the
-    recursion of the module notes with each value encoded once.  The
-    inputs are taken by the level of their first bit, top first, so each
-    join puts one input's cell predicates above the diagrams of the
-    inputs below it.  `memo` is the cell predicate memo of `_range_pred`.
-    """
+def _cells_pred(m, axis, rng, memo):
+    """Predicate of the cells `rng` of an input axis: the value's code
+    for a discrete input, a code range for a continuous one."""
+    _, d, vd, bit_vars = axis
+    if d.is_discrete:
+        v = d.values[rng[0]]
+        return encode_set(m, d, (v, v), bit_vars, "outer")
+    return _range_pred(m, vd, rng, bit_vars, memo)
+
+
+def _disjoint(ranges, cells):
+    """Do the cell ranges `(i, j)`, where `j` may pass the last cell and
+    wrap on to the first, meet no cell twice?"""
+    seen = bytearray(cells)
+    for i, j in ranges:
+        for c in range(i, j + 1):
+            if seen[c % cells]:
+                return False
+            seen[c % cells] = 1
+    return True
+
+
+def _cover(ranges, cells):
+    """Per cell, the bitset (an int) of the boxes whose cell range holds
+    it, where entry `k` of `ranges` is the range of box `k`, read as by
+    `_disjoint`, and bit `k` is that box.  Each range sets a mark where
+    it starts and where it ends, and a running XOR of the marks gives
+    the cells' bitsets, so the cost is O(boxes + cells) and no big-int
+    operation runs per box."""
+    marks = [[] for _ in range(cells + 1)]
+    for k, (i, j) in enumerate(ranges):
+        if j >= cells:  # wraps: cells 0..j - cells, then i..cells - 1
+            marks[0].append(k)
+            j -= cells
+        marks[i].append(k)
+        marks[j + 1].append(k)
+    buf = bytearray((len(ranges) + 7) >> 3)
+    run, out = 0, []
+    for ks in marks[:cells]:
+        if ks:
+            for k in ks:
+                buf[k >> 3] ^= 1 << (k & 7)
+            run ^= int.from_bytes(buf, "little")
+            for k in ks:
+                buf[k >> 3] = 0
+        out.append(run)
+    return out
+
+
+def _join(m, axes, step, leaf, state):
+    """`OR_c (C_c and pred_c)` over the segments `(C_c, key)` of each
+    axis in turn, where `pred_c` is the join of the axes below under
+    `step(state, key)` (None skips the segment) and `leaf(state)` ends
+    the recursion.  The segments of an axis are disjoint."""
+    false = m.false
+
+    def rec(k, st):
+        if k == len(axes):
+            return leaf(st)
+        parts = []
+        for cells, key in axes[k]:
+            sub = step(st, key)
+            if sub is not None:
+                sub = rec(k + 1, sub)
+                if sub != false:
+                    parts.append(m.apply("and", cells, sub))
+        if not parts:
+            return false
+        while len(parts) > 1:
+            parts = [parts[i] if i + 1 == len(parts)
+                     else m.apply("or", parts[i], parts[i + 1])
+                     for i in range(0, len(parts), 2)]
+        return parts[0]
+    f = rec(0, state)
+    del rec  # rec refers to itself; free it without the cyclic collector
+    return f
+
+
+def _arc_leaf(m, vd, out_vars, boxes, memo):
+    """`(order, leaf)` of the accepted `boxes` at a periodic output: bit
+    `k` of a mask is box `k`, and the leaf is the output cells that
+    every covering box allows, looked up within the arc of its first
+    covering box.  Two arcs can meet in two pieces, so the leaf is an
+    `or` of code ranges over the runs of those cells."""
+    n = len(boxes)
+    excl = [((1 << n) - 1) ^ c
+            for c in _cover([o for _, o in boxes], vd.cells)]
+    arcs = {}
+
+    def leaf(mask):
+        i, j = boxes[(mask & -mask).bit_length() - 1][1]
+        cells = tuple(sorted(c % vd.cells for c in range(i, j + 1)
+                             if not mask & excl[c % vd.cells]))
+        f = arcs.get(cells)
+        if f is None:
+            f = m.false
+            for _, run in itertools.groupby(enumerate(cells),
+                                            lambda t: t[1] - t[0]):
+                run = [c for _, c in run]
+                f = m.apply("or", f, _range_pred(
+                    m, vd, (run[0], run[-1]), out_vars, memo))
+            arcs[cells] = f
+        return f
+    return list(range(n)), leaf
+
+
+def _range_leaf(m, vd, out_vars, boxes, memo):
+    """`(order, leaf)` of the accepted `boxes` at a plain output: bits
+    `0..n-1` of a mask number the boxes by lower end descending and bits
+    `n..2n-1` by upper end ascending, so the lowest set bit of each half
+    gives one end of the intersection of the covering boxes' ranges."""
+    n = len(boxes)
+    ends = [o for _, o in boxes]
+    order = sorted(range(n), key=lambda k: -ends[k][0])
+    order += sorted(range(n), key=lambda k: ends[k][1])
+
+    def leaf(mask):
+        top = mask >> n
+        a = ends[order[(mask & -mask).bit_length() - 1]][0]
+        b = ends[order[n + (top & -top).bit_length() - 1]][1]
+        return _range_pred(m, vd, (a, b) if a <= b else None, out_vars, memo)
+    return order, leaf
+
+
+def _segments(m, axis, covers, memo):
+    """`(cells predicate, cover)` of an input axis: one per covered
+    value of a discrete input, one per run of cells with the same cover
+    of a continuous one."""
+    if axis[1].is_discrete:
+        runs = [((c, c), cov) for c, cov in enumerate(covers)]
+    else:
+        runs, c = [], 0
+        for cov, run in itertools.groupby(covers):
+            width = sum(1 for _ in run)
+            runs.append(((c, c + width - 1), cov))
+            c += width
+    return [(_cells_pred(m, axis, r, memo), cov) for r, cov in runs if cov]
+
+
+def _cell_table(comp, blocks, enc):
+    """The closed form of the module notes over the boxes of `blocks`,
+    each a map from every input of `comp` to a list of values, built as
+    one cell table."""
     m = enc.m
-    if set(block) != set(comp.input_names()):
-        raise BddError("sample box must cover exactly %s"
-                       % sorted(comp.input_names()))
-    axes = []
-    for role, names in (("state", comp.state_inputs),
-                        ("control", comp.control_inputs)):
-        for name in names:
-            bit_vars = _dim_vars(enc, name, role)
-            values = [_encode_value(comp, enc, name, bit_vars, x, memo)
-                      for x in block[name]]
-            axes.append((m.level_of(bit_vars[0]) if bit_vars else -1, name,
-                         [(c, x) for c, x in values if c != m.false]))
-    axes.sort(key=lambda axis: axis[0])
+    axes = _input_axes(comp, enc)
+    names = comp.input_names()
+    values = []  # per block, per axis: [(cell range, evaluator value)]
+    for block in blocks:
+        if set(block) != set(names):
+            raise BddError("sample box must cover exactly %s"
+                           % sorted(names))
+        values.append([[rx for rx in (_value_cells(name, d, vd, x)
+                                      for x in block[name])
+                        if rx[0] is not None]
+                       for name, d, vd, _ in axes])
     d = enc.dims[comp.output]
     vd = _view_dim(d, comp.view_bits(d))
     out_vars = enc.next_vars(comp.output)[:vd.bits]
-    ev_box = {}
+    memo = {}
 
-    def rec(k):
-        if k == len(axes):
-            a, b = _as_interval(comp.evaluator(dict(ev_box)))
-            if not d.periodic and (a < d.lo or b > d.hi):
-                return m.false, m.true
-            return m.true, _range_pred(
-                m, vd, cell_range(vd, (a, b), "half_open"), out_vars, memo)
-        name = axes[k][1]
-        nbs, ios = [], []
-        for cells, x in axes[k][2]:
-            ev_box[name] = x
-            nb, io = rec(k + 1)
-            if nb != m.false:  # then io is true: the value adds nothing
-                nbs.append(m.apply("and", cells, nb))
-                ios.append(m.apply("implies", cells, io))
-        return _tree(m, "or", nbs, m.false), _tree(m, "and", ios, m.true)
-    parts = rec(0)
-    del rec  # rec refers to itself; free it without the cyclic collector
-    return parts
+    def successors(xs):
+        """Cell range of the successors of the box of evaluator values
+        `xs`, or False when they leave a plain output domain."""
+        a, b = _as_interval(comp.evaluator(
+            {axis[0]: x for axis, x in zip(axes, xs)}))
+        if not d.periodic and (a < d.lo or b > d.hi):
+            return False
+        return cell_range(vd, (a, b), "half_open")
+
+    if len(values) == 1 and all(
+            _disjoint([r for r, _ in vals], axis[2].cells)
+            for axis, vals in zip(axes, values[0])):
+        def leaf(xs):
+            rng = successors(xs)
+            return m.false if rng is False else _range_pred(
+                m, vd, rng, out_vars, memo)
+        return _join(m, [[(_cells_pred(m, axis, r, memo), x)
+                          for r, x in vals]
+                         for axis, vals in zip(axes, values[0])],
+                     lambda xs, x: xs + (x,), leaf, ())
+    boxes = []  # accepted: (input cell ranges, successor cell range)
+    for block in values:
+        for combo in itertools.product(*block):
+            rng = successors(tuple(x for _, x in combo))
+            if rng is not False:
+                boxes.append((tuple(r for r, _ in combo), rng))
+    if not boxes:
+        return m.false
+    order, leaf = (_arc_leaf if d.periodic else _range_leaf)(
+        m, vd, out_vars, boxes, memo)
+    table = [_segments(m, axis, _cover([boxes[i][0][k] for i in order],
+                                       axis[2].cells), memo)
+             for k, axis in enumerate(axes)]
+    return _join(m, table, lambda mask, cov: mask & cov or None, leaf,
+                 (1 << len(order)) - 1)
 
 
 def sample_to_interface(comp, box, enc):
@@ -331,11 +510,9 @@ def sample_to_interface(comp, box, enc):
     `I` block, and the whole sample blocks (bottom) when the successor
     interval leaves a non-periodic domain.
     """
-    m = enc.m
     ins, outs = _signature(comp, enc)
-    nb, io = _block_parts(comp, {name: [x] for name, x in box.items()},
-                          enc, {})
-    return Interface(m, ins, outs, m.apply("and", nb, io))
+    return Interface(enc.m, ins, outs, _cell_table(
+        comp, [{name: [x] for name, x in box.items()}], enc))
 
 
 # -- traversal plans -------------------------------------------------------
@@ -433,42 +610,19 @@ def _plan_blocks(comp, plan, enc):
         yield _grid_block(comp, enc, lambda d: size)
 
 
-def _plan_boxes(comp, plan, enc):
-    """Every sample box of `plan`: its blocks flattened."""
-    for block in _plan_blocks(comp, plan, enc):
-        for combo in itertools.product(*block.values()):
-            yield dict(zip(block, combo))
-
-
-def _tree(m, op, parts, unit):
-    if not parts:
-        return unit
-    while len(parts) > 1:
-        parts = [parts[i] if i + 1 == len(parts)
-                 else m.apply(op, parts[i], parts[i + 1])
-                 for i in range(0, len(parts), 2)]
-    return parts[0]
-
-
 def traverse(comp, plan, enc):
     """Merge every sample of `plan` through shared refinement.
 
     Equivalent to folding `refine` over the samples starting from the
     universal abstraction, so the result abstracts the concrete map and
-    grows in the refinement order as samples are added.  Each block of
-    the plan gives its `(nb, io)` from one nested recursion, and
-    balanced trees join the blocks as `(OR nb) and (AND io)` (see the
-    module notes).
+    grows in the refinement order as samples are added.  The plan's
+    boxes are folded into one cell table per input, and one recursion
+    over the inputs in level order joins the cells with their
+    successors (see the module notes): directly from the one box of
+    each cell when the plan is a single block of disjoint values, else
+    from the bitsets of the boxes that cover each cell.
     """
-    m = enc.m
     ins, outs = _signature(comp, enc)
-    nb_parts, io_parts = [], []
-    # cell predicates repeat across blocks; traverse never sweeps
-    memo = {}
-    for block in _plan_blocks(comp, plan, enc):
-        nb, io = _block_parts(comp, block, enc, memo)
-        nb_parts.append(nb)
-        io_parts.append(io)
-    pred = m.apply("and", _tree(m, "or", nb_parts, m.false),
-                   _tree(m, "and", io_parts, m.true))
-    return Interface(m, ins, outs, pred)
+    return Interface(enc.m, ins, outs,
+                     _cell_table(comp, list(_plan_blocks(comp, plan, enc)),
+                                 enc))

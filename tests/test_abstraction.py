@@ -1,18 +1,21 @@
 """Abstraction sampler checks against dense numeric oracles."""
 
+import itertools
 import math
 import random
 
 import pytest
 
 from relsynth.abstraction import (DynamicsComponent, Exhaustive, RandomRects,
-                                  ShiftedGrids, dubins_components, iadd,
-                                  icos, imul, interval_eval_dubins, isin,
+                                  ShiftedGrids, _plan_blocks,
+                                  dubins_components, iadd, icos, imul,
+                                  interval_eval_dubins, isin,
                                   sample_to_interface, traverse,
                                   wrap_interval)
 from relsynth.bdd import BddError
 from relsynth.interfaces import Interface, is_refinement, nb, refine
-from relsynth.spaces import Dimension, Encoding, cell_box, code_range, point_cell
+from relsynth.spaces import (Dimension, Encoding, cell_box, cell_range,
+                             code_range, encode_set, point_cell)
 
 TWO_PI = 2.0 * math.pi
 
@@ -301,6 +304,84 @@ def test_sample_soundness_random_points():
 
 # -- traversal plans --------------------------------------------------------
 
+def plan_boxes(comp, plan, enc):
+    """Every sample box of `plan`: its blocks flattened."""
+    for block in _plan_blocks(comp, plan, enc):
+        for combo in itertools.product(*block.values()):
+            yield dict(zip(block, combo))
+
+
+def oracle_sample(comp, box, enc):
+    """One in-domain box as the interface `I and O`, built cell range by
+    cell range from the range encoders: `I` is the product of the cells
+    each input value meets, `O` the cells of the successors of their
+    closure, both at the view precision; a box that escapes a plain
+    output domain, or has an input that meets no cell, is bottom."""
+    m = enc.m
+    blocked = bottom(comp, enc)
+
+    def cells(vd, rng, bit_vars):
+        if rng is None:
+            return m.false
+        if rng[1] < vd.cells:
+            return code_range(m, bit_vars, *rng)
+        return m.apply("or", code_range(m, bit_vars, rng[0], vd.cells - 1),
+                       code_range(m, bit_vars, 0, rng[1] - vd.cells))
+
+    def view(d):
+        return Dimension(d.name, comp.view_bits(d), d.lo, d.hi, d.periodic)
+
+    ins, ev = m.true, {}
+    for name in comp.input_names():
+        d = enc.dims[name]
+        bit_vars = (enc.control_vars(name) if name in comp.control_inputs
+                    else enc.state_vars(name))
+        x = box[name]
+        lo, hi = x if isinstance(x, tuple) else (x, x)
+        if d.is_discrete:
+            ins = m.apply("and", ins,
+                          encode_set(m, d, (lo, hi), bit_vars, "outer"))
+            ev[name] = lo
+            continue
+        vd = view(d)
+        rng = cell_range(vd, (lo, hi), "half_open")
+        ins = m.apply("and", ins, cells(vd, rng, bit_vars[:vd.bits]))
+        if rng is not None:
+            i, j = rng
+            ev[name] = (d.lo + i * vd.width,
+                        d.hi if j + 1 == vd.cells
+                        else d.lo + (j + 1) * vd.width)
+    d = enc.dims[comp.output]
+    vd = view(d)
+    if ins == m.false:
+        return blocked
+    a, b = comp.evaluator(ev)
+    if not d.periodic and (a < d.lo or b > d.hi):
+        return blocked
+    outs = cells(vd, cell_range(vd, (a, b), "half_open"),
+                 enc.next_vars(comp.output)[:vd.bits])
+    return Interface(m, blocked.inputs, blocked.outputs,
+                     m.apply("and", ins, outs))
+
+
+def bottom(comp, enc):
+    """The interface of `comp` that blocks every input."""
+    ins = [v for n in comp.state_inputs for v in enc.state_vars(n)]
+    ins += [v for n in comp.control_inputs for v in enc.control_vars(n)]
+    return Interface(enc.m, ins, enc.next_vars(comp.output), enc.m.false)
+
+
+def oracle_fold(comp, plan, enc):
+    """`refine` folded over the oracle samples of `plan`, starting from
+    the universal abstraction; also the number of bottom samples."""
+    folded, blocked = bottom(comp, enc), 0
+    for box in plan_boxes(comp, plan, enc):
+        f = oracle_sample(comp, box, enc)
+        blocked += f.pred == enc.m.false
+        folded = refine(folded, f)
+    return folded, blocked
+
+
 def toy_identity_setup(bits=2):
     enc = Encoding([Dimension.continuous("x", 0.0, 4.0, bits)])
     comp = DynamicsComponent("move", ("x",), (), "x",
@@ -360,35 +441,114 @@ def test_plan_validation():
 
 
 def test_traverse_equals_refine_fold():
-    """The nested per-block accumulation matches folding refine sample
-    by sample from the universal abstraction: in both variable orders,
-    on every plan, with a view coarser than the plan's boxes, and with
-    samples whose successors leave the domain."""
-    from relsynth.abstraction import _plan_boxes
+    """The cell table matches folding refine over the oracle samples
+    from the universal abstraction: in both variable orders, on every
+    plan, with a view coarser than the plan's boxes, and with samples
+    whose successors leave the domain."""
     for level_order in (None, ("theta", "v", "omega", "px", "py")):
         enc = dubins_encoding(3, level_order=level_order)
-        m = enc.m
         for view in (None, {"px": 2, "theta": 2}):
             comps = {c.name: c for c in dubins_components(view=view)}
             blocked = 0
             for name in ("px", "theta"):
                 comp = comps[name]
-                ins = [v for n in comp.state_inputs
-                       for v in enc.state_vars(n)]
-                ins += [v for n in comp.control_inputs
-                        for v in enc.control_vars(n)]
                 for plan in (RandomRects(25, seed=7), ShiftedGrids((3, 5)),
                              Exhaustive(), Exhaustive(bits={"px": 2})):
-                    folded = Interface(m, ins, enc.next_vars(name), m.false)
-                    for box in _plan_boxes(comp, plan, enc):
-                        f = sample_to_interface(comp, box, enc)
-                        blocked += f.pred == m.false
-                        folded = refine(folded, f)
+                    folded, bottoms = oracle_fold(comp, plan, enc)
+                    blocked += bottoms
                     closed = traverse(comp, plan, enc)
                     assert closed.pred == folded.pred, (name, plan, view)
                     assert closed.inputs == folded.inputs
                     assert closed.outputs == folded.outputs
             assert blocked > 0
+
+
+def test_traverse_equals_refine_fold_at_four_bits():
+    """Larger tables: random boxes, overlapping grids and plan bits that
+    give one value several cells, on every component, in both variable
+    orders, with and without a coarser view."""
+    for level_order in (None, ("theta", "v", "omega", "px", "py")):
+        enc = dubins_encoding(4, level_order=level_order)
+        for view in (None, {"px": 2, "theta": 3}):
+            for comp in dubins_components(view=view):
+                for plan in (RandomRects(2000, seed=11),
+                             ShiftedGrids((3, 5, 7)),
+                             Exhaustive(bits={"px": 2})):
+                    folded, _ = oracle_fold(comp, plan, enc)
+                    assert traverse(comp, plan, enc).pred == folded.pred, (
+                        comp.name, plan, view, level_order)
+
+
+def toy_periodic_setup(evaluator):
+    """One periodic dimension `x` in [0, 8) at 3 bits, so cell `i` is
+    `[i, i + 1)`, and a component with successors `evaluator(box)`."""
+    enc = Encoding([Dimension.continuous("x", 0.0, 8.0, 3, periodic=True)])
+    return enc, DynamicsComponent("move", ("x",), (), "x", evaluator)
+
+
+def successors_of_cell(enc, f, i):
+    """The output predicate of `f` on input cell `i` of `x`."""
+    m = enc.m
+    here = code_range(m, enc.state_vars("x"), i, i)
+    return m.exists(enc.state_vars("x"), m.apply("and", f.pred, here))
+
+
+def test_periodic_successor_arcs_meet_in_two_pieces():
+    """The whole-domain box sends x to the arc [6, 11), cells 6, 7, 0, 1
+    and 2; each half-domain box sends it to [1, 7), cells 1 to 6.  The
+    arcs meet in cells 1, 2 and 6, two pieces, on every cell both cover."""
+    enc, comp = toy_periodic_setup(
+        lambda box: (6.0, 11.0) if box["x"][1] - box["x"][0] > 4.0
+        else (1.0, 7.0))
+    m = enc.m
+    plan = ShiftedGrids((1, 2))
+    f = traverse(comp, plan, enc)
+    assert f.pred == oracle_fold(comp, plan, enc)[0].pred
+    nxt = enc.next_vars("x")
+    for i in range(8):
+        assert successors_of_cell(enc, f, i) == m.apply(
+            "or", code_range(m, nxt, 1, 2), code_range(m, nxt, 6, 6))
+
+
+def test_disjoint_successors_block_a_covered_cell():
+    """Two boxes cover every cell, and their successor ranges share no
+    cell: the table blocks every input, as the fold does."""
+    enc, _ = toy_identity_setup()
+    comp = DynamicsComponent(
+        "move", ("x",), (), "x",
+        lambda box: (0.0, 1.0) if box["x"][1] - box["x"][0] > 3.0
+        else (3.0, 4.0))
+    plan = ShiftedGrids((1, 2))
+    f = traverse(comp, plan, enc)
+    assert f.pred == enc.m.false
+    assert f.pred == oracle_fold(comp, plan, enc)[0].pred
+    # with the whole-domain pass alone, every cell is accepted
+    assert nb(traverse(comp, ShiftedGrids((1,)), enc)).pred == enc.m.true
+
+
+def test_input_boxes_wrapping_the_seam_match_the_fold():
+    """Random heading boxes run past pi and wrap on to -pi; the table
+    covers both ends of each, as the fold of the oracle samples does."""
+    for level_order in (None, ("theta", "v", "omega", "px", "py")):
+        enc = dubins_encoding(3, level_order=level_order)
+        d = enc.dims["theta"]
+        for comp in dubins_components():
+            plan = RandomRects(60, seed=13)
+            wraps = sum(box["theta"][1] > d.hi
+                        for box in plan_boxes(comp, plan, enc))
+            assert wraps > 5
+            folded, _ = oracle_fold(comp, plan, enc)
+            assert traverse(comp, plan, enc).pred == folded.pred, comp.name
+    # a one-cell box on each side of the seam, through one covering box
+    enc, comp = toy_periodic_setup(lambda box: box["x"])
+    f = sample_to_interface(comp, {"x": (7.0, 9.0)}, enc)
+    assert f.pred == oracle_sample(comp, {"x": (7.0, 9.0)}, enc).pred
+    m = enc.m
+    wrapped = m.apply("or", code_range(m, enc.next_vars("x"), 7, 7),
+                      code_range(m, enc.next_vars("x"), 0, 0))
+    for i in range(8):
+        assert successors_of_cell(enc, f, i) == (
+            wrapped if i in (0, 7) else m.false)
 
 
 def test_traverse_rejects_bad_successor_intervals():
@@ -410,13 +570,12 @@ def test_overlapping_samples_stay_consistent():
     enc = dubins_encoding(3)
     m = enc.m
     comps = {c.name: c for c in dubins_components()}
-    from relsynth.abstraction import _plan_boxes
     for name, seed in (("px", 2), ("py", 3), ("theta", 4)):
         comp = comps[name]
         plan = RandomRects(35, seed=seed)
         merged = traverse(comp, plan, enc)
-        for box in _plan_boxes(comp, plan, enc):
-            f = sample_to_interface(comp, box, enc)
+        for box in plan_boxes(comp, plan, enc):
+            f = oracle_sample(comp, box, enc)
             if f.pred == m.false:
                 continue
             assert is_refinement(f, merged)
@@ -455,9 +614,8 @@ def test_shifted_grids_cover_with_fewer_samples():
     m = enc.m
     comp = DynamicsComponent("hold", ("x", "y"), (), "x",
                              lambda box: box["x"])
-    from relsynth.abstraction import _plan_boxes
     plan = ShiftedGrids((4, 5))
-    assert sum(1 for _ in _plan_boxes(comp, plan, enc)) == 41
+    assert sum(1 for _ in plan_boxes(comp, plan, enc)) == 41
     f = traverse(comp, plan, enc)
     assert nb(f).pred == m.true
 
@@ -466,9 +624,8 @@ def test_exhaustive_with_coarser_bits():
     """Plan-level bit overrides sample bigger aligned boxes."""
     enc, comp = toy_identity_setup(bits=3)
     m = enc.m
-    from relsynth.abstraction import _plan_boxes
     plan = Exhaustive(bits={"x": 1})
-    assert sum(1 for _ in _plan_boxes(comp, plan, enc)) == 2
+    assert sum(1 for _ in plan_boxes(comp, plan, enc)) == 2
     f = traverse(comp, plan, enc)
     # half-domain boxes still land on full-precision output cells
     lowhalf = code_range(m, enc.state_vars("x"), 0, 3)
