@@ -46,10 +46,12 @@ samples built box by box.  Every value is mapped to cells by
 `cell_range` alone, and no diagram is built per box.  A leaf is filled
 by one of two rules:
 
-- a plan of one block whose values meet disjoint cells on every input
-  (`Exhaustive` unless its `bits` are finer than the view) covers each
-  cell tuple with at most one box, and the leaf is the cells of that
-  box's successors, evaluated on the closure of its values;
+- a plan of one block in which each input cell is covered by at most
+  one of the block's values (`Exhaustive` unless its `bits` are finer
+  than the view) covers each cell tuple with at most one box, and the
+  leaf is the cells of that box's successors, evaluated on the closure
+  of its values.  The condition is read off the covers that `_cover`
+  builds for each input's values: none has two bits set;
 - any other plan numbers its accepted boxes and keeps, per input cell,
   the bitset (a Python int) of the boxes that cover it, built from
   start and end marks by a running XOR.  The recursion ANDs the
@@ -314,41 +316,23 @@ def _cells_pred(m, axis, rng, memo):
     return _range_pred(m, vd, rng, bit_vars, memo)
 
 
-def _disjoint(ranges, cells):
-    """Do the cell ranges `(i, j)`, where `j` may pass the last cell and
-    wrap on to the first, meet no cell twice?"""
-    seen = bytearray(cells)
-    for i, j in ranges:
-        for c in range(i, j + 1):
-            if seen[c % cells]:
-                return False
-            seen[c % cells] = 1
-    return True
-
-
 def _cover(ranges, cells):
     """Per cell, the bitset (an int) of the boxes whose cell range holds
-    it, where entry `k` of `ranges` is the range of box `k`, read as by
-    `_disjoint`, and bit `k` is that box.  Each range sets a mark where
-    it starts and where it ends, and a running XOR of the marks gives
-    the cells' bitsets, so the cost is O(boxes + cells) and no big-int
-    operation runs per box."""
-    marks = [[] for _ in range(cells + 1)]
+    it, where entry `k` of `ranges` is the range `(i, j)` of box `k` (`j`
+    may pass the last cell and wrap on to the first) and bit `k` is that
+    box.  Each range toggles its bit in a mark where it starts and where
+    it ends, and a running XOR of the marks gives the cells' bitsets, so
+    the cost is O(boxes + cells)."""
+    marks = [0] * (cells + 1)
     for k, (i, j) in enumerate(ranges):
         if j >= cells:  # wraps: cells 0..j - cells, then i..cells - 1
-            marks[0].append(k)
+            marks[0] ^= 1 << k
             j -= cells
-        marks[i].append(k)
-        marks[j + 1].append(k)
-    buf = bytearray((len(ranges) + 7) >> 3)
+        marks[i] ^= 1 << k
+        marks[j + 1] ^= 1 << k
     run, out = 0, []
-    for ks in marks[:cells]:
-        if ks:
-            for k in ks:
-                buf[k >> 3] ^= 1 << (k & 7)
-            run ^= int.from_bytes(buf, "little")
-            for k in ks:
-                buf[k >> 3] = 0
+    for mark in marks[:cells]:
+        run ^= mark
         out.append(run)
     return out
 
@@ -391,21 +375,17 @@ def _arc_leaf(m, vd, out_vars, boxes, memo):
     n = len(boxes)
     excl = [((1 << n) - 1) ^ c
             for c in _cover([o for _, o in boxes], vd.cells)]
-    arcs = {}
 
     def leaf(mask):
         i, j = boxes[(mask & -mask).bit_length() - 1][1]
-        cells = tuple(sorted(c % vd.cells for c in range(i, j + 1)
-                             if not mask & excl[c % vd.cells]))
-        f = arcs.get(cells)
-        if f is None:
-            f = m.false
-            for _, run in itertools.groupby(enumerate(cells),
-                                            lambda t: t[1] - t[0]):
-                run = [c for _, c in run]
-                f = m.apply("or", f, _range_pred(
-                    m, vd, (run[0], run[-1]), out_vars, memo))
-            arcs[cells] = f
+        cells = sorted(c % vd.cells for c in range(i, j + 1)
+                       if not mask & excl[c % vd.cells])
+        f = m.false
+        for _, run in itertools.groupby(enumerate(cells),
+                                        lambda t: t[1] - t[0]):
+            run = [c for _, c in run]
+            f = m.apply("or", f, _range_pred(
+                m, vd, (run[0], run[-1]), out_vars, memo))
         return f
     return list(range(n)), leaf
 
@@ -474,8 +454,9 @@ def _cell_table(comp, blocks, enc):
         return cell_range(vd, (a, b), "half_open")
 
     if len(values) == 1 and all(
-            _disjoint([r for r, _ in vals], axis[2].cells)
-            for axis, vals in zip(axes, values[0])):
+            c & (c - 1) == 0
+            for axis, vals in zip(axes, values[0])
+            for c in _cover([r for r, _ in vals], axis[2].cells)):
         def leaf(xs):
             rng = successors(xs)
             return m.false if rng is False else _range_pred(

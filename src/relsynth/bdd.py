@@ -30,7 +30,9 @@ Design notes:
   handle-equal to the one a dedicated kernel would build.
 - The kernels that depend on a cube (`exists`, `forall`, the fused one)
   live in one operation cache keyed on (factory, cube), built on first
-  use and kept for the manager's life.
+  use and kept for the manager's life.  Every kernel takes any cube, the
+  empty one too: quantifying over nothing is the identity, so each
+  public method is a check plus one kernel call.
 - The kernels capture the store containers (node arrays, unique table,
   free list, live counter and memo tables) once, when they are built.
   `sweep` therefore mutates those containers in place and never rebinds
@@ -40,9 +42,11 @@ Design notes:
 - One walk, `_reach`, collects the nodes reachable from a set of roots;
   `support`, `node_count` and the mark phase of `sweep` all read it.
 - The recursive helpers of single calls (`rename`, `sat_count`,
-  `sat_runs`, `to_text`) refer to themselves, so each call deletes its
-  helper before returning; otherwise every call would leave a reference
-  cycle for the cyclic garbage collector.
+  `sat_runs`, `to_text`) keep their memos local to the call, so
+  `sat_count` memoizes within one call and no count outlives a sweep.
+  The helpers refer to themselves, so each call deletes its helper
+  before returning; otherwise every call would leave a reference cycle
+  for the cyclic garbage collector.
 - The kernels refer to themselves too, and live as long as the
   manager.  So a dropped manager empties the containers they captured,
   in place as `sweep` does; otherwise its whole store would wait for
@@ -172,7 +176,6 @@ def _make_not(m):
             return r
         r = node(var[a], rec(lo[a]), rec(hi[a]))
         memo[a] = r
-        memo[r] = a
         return r
 
     return rec
@@ -182,7 +185,7 @@ def _make_quant(m, cube, join, stop):
     """Quantify the levels in `cube` (frozenset) out: `exists` joins the
     cofactors with `or` and stops early at 1, `forall` with `and` at 0."""
     var, lo, hi = m._var, m._lo, m._hi
-    maxq = max(cube)
+    maxq = max(cube, default=-1)
     node = m._node
     memo = {}
     m._memos.append(memo)
@@ -224,7 +227,7 @@ def _make_implies_forall(m, cube):
     not_ = m._not
     ex = m._op(_make_exists, cube)
     fa = m._op(_make_forall, cube)
-    maxq = max(cube)
+    maxq = max(cube, default=-1)
     node = m._node
     memo = {}
     m._memos.append(memo)
@@ -292,7 +295,8 @@ class BDD:
             seen.add(name)
         if cap is None:
             cap = _MAX_NODES
-        elif not isinstance(cap, int) or not 1 <= cap <= _MAX_NODES:
+        elif (not isinstance(cap, int) or isinstance(cap, bool)
+              or not 1 <= cap <= _MAX_NODES):
             raise BddError("cap must be an integer in 1..%d, not %r"
                            % (_MAX_NODES, cap))
         self._names = names
@@ -308,16 +312,14 @@ class BDD:
         self._live = [2, cap]
         self._memos = []
         self._protected = {}
-        self._count_memo = {}
-        self._memos.append(self._count_memo)
         self._node = _make_node(self)
         self._and = _make_lattice(self, 0)
         self._or = _make_lattice(self, 1)
         self._not = _make_not(self)
         # (factory, cube) -> kernel; see `_op`
         self._ops = {}
-        # every level, for `leq`; the terminal level n keeps it non-empty
-        self._every_level = frozenset(range(n + 1))
+        # every level, for `leq`
+        self._every_level = frozenset(range(n))
 
     # -- node store ------------------------------------------------------
 
@@ -417,18 +419,12 @@ class BDD:
     def exists(self, names, f):
         """Existentially quantify the variables `names` out of `f`."""
         self._check(f)
-        cube = self._levels(names)
-        if not cube:
-            return f
-        return self._op(_make_exists, cube)(f)
+        return self._op(_make_exists, self._levels(names))(f)
 
     def forall(self, names, f):
         """Universally quantify the variables `names` out of `f`."""
         self._check(f)
-        cube = self._levels(names)
-        if not cube:
-            return f
-        return self._op(_make_forall, cube)(f)
+        return self._op(_make_forall, self._levels(names))(f)
 
     def and_exists(self, names, f, g):
         """`exists(names, f & g)` without building the conjunction.
@@ -438,18 +434,13 @@ class BDD:
         self._check(f)
         self._check(g)
         cube = self._levels(names)
-        if not cube:
-            return self._and(f, g)
         return self._not(self._op(_make_implies_forall, cube)(f, self._not(g)))
 
     def implies_forall(self, names, f, g):
         """`forall(names, f -> g)` without building the implication."""
         self._check(f)
         self._check(g)
-        cube = self._levels(names)
-        if not cube:
-            return self._or(self._not(f), g)
-        return self._op(_make_implies_forall, cube)(f, g)
+        return self._op(_make_implies_forall, self._levels(names))(f, g)
 
     # -- structure ----------------------------------------------------------
 
@@ -533,7 +524,7 @@ class BDD:
             if not self._support_levels(f) <= sup_levels:
                 raise BddError("support does not cover the predicate")
         var, lo, hi = self._var, self._lo, self._hi
-        memo = self._count_memo
+        memo = {}
 
         def rec(u):
             if u == 1:

@@ -74,6 +74,15 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _is_int(x):
+    """An integer, and not a boolean (YAML `true` is a Python int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x):
+    return _is_int(x) or isinstance(x, float)
+
+
 def load_config(path, overrides=None):
     """Parse, validate and default-fill a run configuration."""
     if path is None:
@@ -111,7 +120,7 @@ def _check_bit_map(counts, what):
     _require(counts is None or isinstance(counts, dict),
              "%s must map dimension names to bit counts" % what)
     for name, b in (counts or {}).items():
-        _require(isinstance(b, int) and b >= 0,
+        _require(_is_int(b) and b >= 0,
                  "%s for %s must be a nonnegative integer" % (what, name))
 
 
@@ -121,10 +130,10 @@ def _validate(cfg):
     bits = cfg["bits"]
     if isinstance(bits, dict):
         for name, b in bits.items():
-            _require(isinstance(b, int) and 1 <= b <= 24,
+            _require(_is_int(b) and 1 <= b <= 24,
                      "bits for %s must be an integer in 1..24" % name)
     else:
-        _require(isinstance(bits, int) and 1 <= bits <= 24,
+        _require(_is_int(bits) and 1 <= bits <= 24,
                  "bits must be an integer in 1..24")
     plan = cfg["plan"]
     _require(isinstance(plan, dict) and "kind" in plan,
@@ -136,12 +145,12 @@ def _validate(cfg):
     _check_bit_map(cfg["view"], "view")
     sizes = plan.get("sizes", _GRID_SIZES)
     _require(isinstance(sizes, (list, tuple)) and sizes
-             and all(isinstance(x, int) for x in sizes),
+             and all(_is_int(x) for x in sizes),
              "plan sizes must be a nonempty list of integers")
-    _require(isinstance(plan.get("seed", 0), int),
+    _require(_is_int(plan.get("seed", 0)),
              "plan seed must be an integer")
     length = cfg["length"]
-    _require(isinstance(length, (int, float)) and 0 < length < math.inf,
+    _require(_is_number(length) and 0 < length < math.inf,
              "length must be a positive number")
     _require(isinstance(cfg["out"], str), "out must be a directory path")
     obj = cfg["objective"]
@@ -157,16 +166,16 @@ def _validate(cfg):
              "objective box must map dimension names to [lo, hi]")
     for name, iv in box.items():
         _require(isinstance(iv, (list, tuple)) and len(iv) == 2
-                 and all(isinstance(x, (int, float)) and math.isfinite(x)
+                 and all(_is_number(x) and math.isfinite(x)
                          for x in iv),
                  "objective box for %s must be [lo, hi] with finite "
                  "numbers" % name)
     sol = cfg["solver"]
     _check_keys(sol, DEFAULTS["solver"], "solver")
-    _require(isinstance(sol["max_iters"], int) and sol["max_iters"] >= 0,
+    _require(_is_int(sol["max_iters"]) and sol["max_iters"] >= 0,
              "solver max_iters must be a nonnegative integer")
     thr = sol["coarsen_threshold"]
-    _require(thr is None or (isinstance(thr, int) and thr > 0),
+    _require(thr is None or (_is_int(thr) and thr > 0),
              "solver coarsen_threshold must be a positive integer")
     ds = sol["downsample"]
     if ds is not None:
@@ -176,14 +185,15 @@ def _validate(cfg):
             if isinstance(level, dict):
                 _check_bit_map(level, "downsample bits")
             else:
-                _require(isinstance(level, int) and level >= 0,
+                _require(_is_int(level) and level >= 0,
                          "downsample level must be an integer or a "
                          "name->bits mapping")
         _require(cfg["objective"].get("kind") == "reach",
                  "solver downsample applies to reach objectives only")
         _require(thr is None,
                  "downsample and coarsen_threshold cannot be combined")
-    _require(isinstance(cfg["seed"], int), "seed must be an integer")
+    _require(_is_int(cfg["seed"]), "seed must be an integer")
+    _require(isinstance(cfg["images"], bool), "images must be true or false")
     if cfg["system"] == "custom":
         _require(cfg["dims"], "custom system needs a dims list")
 
@@ -258,7 +268,7 @@ def build_plan(cfg):
         return Exhaustive(bits=plan.get("bits"))
     if plan["kind"] == "random_rects":
         count = plan.get("count", 1000)
-        _require(isinstance(count, int) and count >= 0,
+        _require(_is_int(count) and count >= 0,
                  "plan count must be a nonnegative integer")
         return RandomRects(count, seed=plan.get("seed", cfg["seed"]))
     return ShiftedGrids(tuple(plan.get("sizes", _GRID_SIZES)))
@@ -469,7 +479,7 @@ def experiment_basin_vs_samples(cfg):
     _check_keys(exp, {"counts"}, "experiment")
     counts = exp.get("counts",
                      [500, 1000, 2000, 4000, 8000, 16000, 32000])
-    _require(all(isinstance(n, int) and n >= 0 for n in counts),
+    _require(all(_is_int(n) and n >= 0 for n in counts),
              "experiment counts must be nonnegative integers")
     enc, comps, goal = _setup(cfg, "basin_vs_samples")
     runs = [("random", n, [RandomRects(n, seed=cfg["seed"] + i)

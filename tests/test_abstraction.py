@@ -466,14 +466,17 @@ def test_traverse_equals_refine_fold():
 def test_traverse_equals_refine_fold_at_four_bits():
     """Larger tables: random boxes, overlapping grids and plan bits that
     give one value several cells, on every component, in both variable
-    orders, with and without a coarser view."""
+    orders, with and without a coarser view.  A single grid of 5 slices,
+    and plan bits finer than the view, are single blocks that cover a
+    cell with two values."""
     for level_order in (None, ("theta", "v", "omega", "px", "py")):
         enc = dubins_encoding(4, level_order=level_order)
         for view in (None, {"px": 2, "theta": 3}):
             for comp in dubins_components(view=view):
                 for plan in (RandomRects(2000, seed=11),
-                             ShiftedGrids((3, 5, 7)),
-                             Exhaustive(bits={"px": 2})):
+                             ShiftedGrids((3, 5, 7)), ShiftedGrids((5,)),
+                             Exhaustive(bits={"px": 2}),
+                             Exhaustive(bits={"px": 4})):
                     folded, _ = oracle_fold(comp, plan, enc)
                     assert traverse(comp, plan, enc).pred == folded.pred, (
                         comp.name, plan, view, level_order)

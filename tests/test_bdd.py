@@ -99,6 +99,16 @@ def test_quantifier_examples():
     assert m.forall(["b"], a) == a
     assert m.exists([], ab) == ab
     assert m.forall([], ab) == ab
+    # every kernel takes the empty cube, also in a manager with no
+    # variables, where `leq` quantifies over no level at all
+    m = BDD([])
+    for a in (0, 1):
+        assert m.exists([], a) == m.forall([], a) == a
+        for b in (0, 1):
+            assert m.leq(a, b) == (a <= b)
+            assert m.implies_forall([], a, b) == int(a <= b)
+            assert m.and_exists([], a, b) == (a & b)
+    assert m.sat_count(1) == 1 and m.sat_count(0) == 0
 
 
 def test_quantifiers_against_table_oracle():
@@ -329,7 +339,7 @@ def test_capacity_error():
         for _ in range(200):
             rand_pred(m, rng, names, 30)
     # the cap must fit the 28-bit handle packing
-    for cap in (0, -1, _MAX_NODES + 1, "40"):
+    for cap in (0, -1, _MAX_NODES + 1, "40", True):
         with pytest.raises(BddError):
             BDD(["a"], cap=cap)
     assert BDD(["a"], cap=_MAX_NODES).var("a") == 2
@@ -380,6 +390,9 @@ def test_kernels_match_table_oracle_after_sweep():
         tf, tg = expr_table(ef, names), expr_table(eg, names)
         assert truth_table(m, f, names) == tf
         assert truth_table(m, g, names) == tg
+        # a count kept across calls would go stale on reused slots
+        assert m.sat_count(f) == sum(tf)
+        assert m.sat_count(g) == sum(tg)
         for op, fn in (("and", lambda a, b: a and b),
                        ("or", lambda a, b: a or b),
                        ("xor", lambda a, b: a != b)):

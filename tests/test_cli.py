@@ -199,7 +199,24 @@ def test_config_errors_exit_2(tmp_path):
                   {"length": "abc"},
                   {"cap": 0},
                   {"cap": "many"},
-                  {"objective": 3}):
+                  {"objective": 3},
+                  # YAML booleans are Python ints, but no count or bound
+                  {"cap": True},
+                  {"bits": True},
+                  {"bits": {"px": True, "py": 3, "theta": 3}},
+                  {"plan": {"kind": "exhaustive", "bits": {"px": True}}},
+                  {"plan": {"kind": "random_rects", "count": True}},
+                  {"plan": {"kind": "random_rects", "seed": False}},
+                  {"plan": {"kind": "shifted_grids", "sizes": [True]}},
+                  {"view": {"px": True}},
+                  {"seed": True},
+                  {"length": True},
+                  {"objective": {"kind": "reach",
+                                 "box": {"px": [False, 1]}}},
+                  {"solver": {"max_iters": True}},
+                  {"solver": {"coarsen_threshold": True}},
+                  {"solver": {"downsample": [True]}},
+                  {"images": "no"}):
         cfg = write_config(tmp_path / "m.yaml", out=str(tmp_path / "rm"),
                            **extra)
         assert main(["solve", "--config", cfg]) == 2, extra
@@ -208,6 +225,10 @@ def test_config_errors_exit_2(tmp_path):
     cfg = write_config(tmp_path / "m.yaml", out=str(tmp_path / "re"),
                        view={"pz": 2})
     assert main(["experiment", "decomp_vs_mono", "--config", cfg]) == 2
+    assert not os.path.exists(tmp_path / "re")
+    cfg = write_config(tmp_path / "m.yaml", out=str(tmp_path / "re"),
+                       experiment={"counts": [True]})
+    assert main(["experiment", "basin_vs_samples", "--config", cfg]) == 2
     assert not os.path.exists(tmp_path / "re")
     good = write_config(tmp_path / "ok.yaml", out=str(tmp_path / "r"))
     assert main(["solve", "--config", good,
