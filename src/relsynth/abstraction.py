@@ -64,6 +64,12 @@ by one of two rules:
   the first covering box's arc that no covering box excludes, as an
   `or` of code ranges.  An empty intersection blocks the cell.
 
+A plan is streamed.  Its blocks are drawn one at a time, and the rule is
+chosen after at most two of them, since rule 1 needs exactly one.  Every
+later block is mapped to cells, evaluated and folded into the accepted
+boxes (their input cell ranges and successor range) as it is drawn, so a
+build holds the accepted boxes' ranges but never the whole plan.
+
 Samples whose successor interval escapes a non-periodic state domain
 yield the bottom interface: the abstraction blocks those inputs, which
 keeps every synthesized controller inside the modeled region.
@@ -425,20 +431,23 @@ def _segments(m, axis, covers, memo):
 
 def _cell_table(comp, blocks, enc):
     """The closed form of the module notes over the boxes of `blocks`,
-    each a map from every input of `comp` to a list of values, built as
-    one cell table."""
+    an iterable of maps from every input of `comp` to a list of values
+    that is drawn one block at a time, built as one cell table."""
     m = enc.m
     axes = _input_axes(comp, enc)
-    names = comp.input_names()
-    values = []  # per block, per axis: [(cell range, evaluator value)]
-    for block in blocks:
-        if set(block) != set(names):
+    names = set(comp.input_names())
+
+    def mapped(block):
+        """Per axis of `block`: [(cell range, evaluator value)]."""
+        if block.keys() != names:
             raise BddError("sample box must cover exactly %s"
                            % sorted(names))
-        values.append([[rx for rx in (_value_cells(name, d, vd, x)
-                                      for x in block[name])
-                        if rx[0] is not None]
-                       for name, d, vd, _ in axes])
+        return [[rx for rx in (_value_cells(name, d, vd, x)
+                               for x in block[name])
+                 if rx[0] is not None]
+                for name, d, vd, _ in axes]
+    values = map(mapped, blocks)
+    head = list(itertools.islice(values, 2))
     d = enc.dims[comp.output]
     vd = _view_dim(d, comp.view_bits(d))
     out_vars = enc.next_vars(comp.output)[:vd.bits]
@@ -453,9 +462,9 @@ def _cell_table(comp, blocks, enc):
             return False
         return cell_range(vd, (a, b), "half_open")
 
-    if len(values) == 1 and all(
+    if len(head) == 1 and all(
             c & (c - 1) == 0
-            for axis, vals in zip(axes, values[0])
+            for axis, vals in zip(axes, head[0])
             for c in _cover([r for r, _ in vals], axis[2].cells)):
         def leaf(xs):
             rng = successors(xs)
@@ -463,10 +472,10 @@ def _cell_table(comp, blocks, enc):
                 m, vd, rng, out_vars, memo)
         return _join(m, [[(_cells_pred(m, axis, r, memo), x)
                           for r, x in vals]
-                         for axis, vals in zip(axes, values[0])],
+                         for axis, vals in zip(axes, head[0])],
                      lambda xs, x: xs + (x,), leaf, ())
     boxes = []  # accepted: (input cell ranges, successor cell range)
-    for block in values:
+    for block in itertools.chain(head, values):
         for combo in itertools.product(*block):
             rng = successors(tuple(x for _, x in combo))
             if rng is not False:
@@ -601,9 +610,11 @@ def traverse(comp, plan, enc):
     over the inputs in level order joins the cells with their
     successors (see the module notes): directly from the one box of
     each cell when the plan is a single block of disjoint values, else
-    from the bitsets of the boxes that cover each cell.
+    from the bitsets of the boxes that cover each cell.  The plan is
+    streamed: the rule is chosen after at most two blocks, every later
+    block is mapped and evaluated as it is drawn, and the plan is
+    validated as it is drawn too.
     """
     ins, outs = _signature(comp, enc)
     return Interface(enc.m, ins, outs,
-                     _cell_table(comp, list(_plan_blocks(comp, plan, enc)),
-                                 enc))
+                     _cell_table(comp, _plan_blocks(comp, plan, enc), enc))

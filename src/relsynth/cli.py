@@ -195,7 +195,10 @@ def _validate(cfg):
     _require(_is_int(cfg["seed"]), "seed must be an integer")
     _require(isinstance(cfg["images"], bool), "images must be true or false")
     if cfg["system"] == "custom":
-        _require(cfg["dims"], "custom system needs a dims list")
+        _require(isinstance(cfg["dims"], list) and cfg["dims"],
+                 "custom system needs a dims list")
+        _require(isinstance(cfg["controls"] or [], list),
+                 "controls must be a list")
 
 
 def _dim_bits(cfg, name, default=DEFAULTS["bits"]):
@@ -236,20 +239,34 @@ def build_system(cfg):
     else:
         dims, ctrl, comps = [], [], None
         for spec in cfg["dims"]:
+            _require(isinstance(spec, dict), "dim entries must be mappings")
             _check_keys(spec, {"name", "lo", "hi", "bits", "periodic"},
                         "dim")
-            try:
-                dims.append(Dimension.continuous(
-                    spec["name"], float(spec["lo"]), float(spec["hi"]),
-                    int(spec["bits"]), bool(spec.get("periodic", False))))
-            except (KeyError, TypeError, ValueError) as e:
-                raise ConfigError("bad dim entry %r: %s" % (spec, e))
+            lo, hi, bits = (spec.get(k) for k in ("lo", "hi", "bits"))
+            _require(isinstance(spec.get("name"), str)
+                     and _is_number(lo) and _is_number(hi)
+                     and -math.inf < lo < hi < math.inf
+                     and _is_int(bits) and 1 <= bits <= 24
+                     and isinstance(spec.get("periodic", False), bool),
+                     "bad dim entry %r: needs a name, numbers lo < hi, "
+                     "bits an integer in 1..24 and periodic true or "
+                     "false" % (spec,))
+            dims.append(Dimension.continuous(
+                spec["name"], lo, hi, bits, spec.get("periodic", False)))
         for spec in cfg["controls"] or ():
+            _require(isinstance(spec, dict),
+                     "control entries must be mappings")
             _check_keys(spec, {"name", "values"}, "control")
+            vals = spec.get("values")
+            _require(isinstance(spec.get("name"), str)
+                     and isinstance(vals, list) and vals
+                     and all(_is_number(v) and math.isfinite(v)
+                             for v in vals),
+                     "bad control entry %r: needs a name and a nonempty "
+                     "list of numbers as values" % (spec,))
             try:
-                ctrl.append(Dimension.discrete(spec["name"],
-                                               tuple(spec["values"])))
-            except (KeyError, TypeError) as e:
+                ctrl.append(Dimension.discrete(spec["name"], vals))
+            except BddError as e:
                 raise ConfigError("bad control entry %r: %s" % (spec, e))
     for key in ("bits", "view"):
         if isinstance(cfg[key], dict):

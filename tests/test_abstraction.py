@@ -444,7 +444,10 @@ def test_traverse_equals_refine_fold():
     """The cell table matches folding refine over the oracle samples
     from the universal abstraction: in both variable orders, on every
     plan, with a view coarser than the plan's boxes, and with samples
-    whose successors leave the domain."""
+    whose successors leave the domain.  The plans take both rules: one
+    random box, one grid and plain `Exhaustive` are single blocks of
+    disjoint values, and plan bits finer than the view make a single
+    block that covers a cell with two values."""
     for level_order in (None, ("theta", "v", "omega", "px", "py")):
         enc = dubins_encoding(3, level_order=level_order)
         for view in (None, {"px": 2, "theta": 2}):
@@ -452,8 +455,11 @@ def test_traverse_equals_refine_fold():
             blocked = 0
             for name in ("px", "theta"):
                 comp = comps[name]
-                for plan in (RandomRects(25, seed=7), ShiftedGrids((3, 5)),
-                             Exhaustive(), Exhaustive(bits={"px": 2})):
+                for plan in (RandomRects(25, seed=7), RandomRects(1, seed=5),
+                             ShiftedGrids((4,)), ShiftedGrids((4, 5)),
+                             ShiftedGrids((3, 5)), Exhaustive(),
+                             Exhaustive(bits={"px": 2}),
+                             Exhaustive(bits={"px": 3})):
                     folded, bottoms = oracle_fold(comp, plan, enc)
                     blocked += bottoms
                     closed = traverse(comp, plan, enc)
@@ -480,6 +486,39 @@ def test_traverse_equals_refine_fold_at_four_bits():
                     folded, _ = oracle_fold(comp, plan, enc)
                     assert traverse(comp, plan, enc).pred == folded.pred, (
                         comp.name, plan, view, level_order)
+
+
+def test_traverse_streams_the_plan(monkeypatch):
+    """The plan is drawn as its boxes are evaluated, not ahead of them:
+    box k is evaluated once at most k + 2 blocks are drawn."""
+    drawn = []
+
+    def counting(comp, plan, enc):
+        for block in _plan_blocks(comp, plan, enc):
+            drawn.append(block)
+            yield block
+    monkeypatch.setattr("relsynth.abstraction._plan_blocks", counting)
+    seen = []
+    enc, _ = toy_identity_setup(bits=3)
+    comp = DynamicsComponent("move", ("x",), (), "x",
+                             lambda box: seen.append(len(drawn)) or box["x"])
+    traverse(comp, RandomRects(50, seed=3), enc)
+    assert len(drawn) == len(seen) == 50
+    assert all(n <= k + 2 for k, n in enumerate(seen)), seen
+
+
+def test_a_bad_late_block_fails_traverse(monkeypatch):
+    """A block that lacks an input fails the traversal also when it is
+    drawn after the rule is chosen."""
+    enc, comp = toy_identity_setup()
+    blocks = [{"x": [(0.0, 1.0)]}, {"x": [(1.0, 3.0)]}, {"y": [(0.0, 1.0)]}]
+    monkeypatch.setattr("relsynth.abstraction._plan_blocks",
+                        lambda comp, plan, enc: iter(blocks))
+    with pytest.raises(BddError):
+        traverse(comp, RandomRects(3), enc)
+    blocks[2] = {}
+    with pytest.raises(BddError):
+        traverse(comp, RandomRects(3), enc)
 
 
 def toy_periodic_setup(evaluator):

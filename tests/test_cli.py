@@ -504,6 +504,38 @@ def test_custom_system_solves_from_files(tmp_path):
         assert fh.read() == "start,length\n0,5\n"
 
 
+@pytest.mark.parametrize("dim, control", [
+    ({"bits": True}, {}),
+    ({"bits": 2.7}, {}),
+    ({"bits": 30}, {}),
+    ({"bits": 0}, {}),
+    ({"periodic": "no"}, {}),
+    ({"lo": True, "hi": 2.0}, {}),
+    ({"lo": "0"}, {}),
+    ({"hi": float("inf")}, {}),
+    ({}, {"values": []}),
+    ({}, {"values": ["a", "b"]}),
+    ({}, {"values": "ab"}),
+    ({}, {"values": [True, 2.0]}),
+])
+def test_custom_entries_need_typed_fields(tmp_path, dim, control):
+    """A custom dim needs an integer `bits` in 1..24 (not a boolean),
+    finite numbers `lo` < `hi` and a boolean `periodic`; a control needs
+    a nonempty list of numbers.  Anything else is a configuration error
+    before any output is written."""
+    custom = {"system": "custom",
+              "dims": [dict({"name": "x", "lo": 0.0, "hi": 1.0, "bits": 3},
+                            **dim)],
+              "controls": [dict({"name": "u", "values": [0.0, 1.0]},
+                                **control)],
+              "out": str(tmp_path / "run")}
+    with open(tmp_path / "cust.yaml", "w") as fh:
+        yaml.safe_dump(custom, fh)
+    with pytest.raises(ConfigError):
+        build_system(load_config(str(tmp_path / "cust.yaml")))
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_downsample_schedule_matches_plain_solve(tmp_path):
     """A coarse-to-fine schedule ending at full precision converges to
     the same basin as the direct solve — seeding only changes speed."""
