@@ -70,9 +70,20 @@ later block is mapped to cells, evaluated and folded into the accepted
 boxes (their input cell ranges and successor range) as it is drawn, so a
 build holds the accepted boxes' ranges but never the whole plan.
 
+Each interval value is checked once, where it enters the cell table:
+`_value_cells` checks every plan input value and `successors` every
+evaluator result.  NaN or an inverted interval raises `BddError`, as
+does a non-finite end that reaches `cell_range`.  The evaluator gets a
+continuous input as a `(lo, hi)` pair of floats and a discrete control
+as a number, and the interval operations `iadd`, `imul`, `icos` and
+`isin` are plain arithmetic on such pairs.  A successor interval at a
+periodic output is not wrapped by its evaluator: `cell_range` alone
+maps it onto the turn.
+
 Samples whose successor interval escapes a non-periodic state domain
-yield the bottom interface: the abstraction blocks those inputs, which
-keeps every synthesized controller inside the modeled region.
+(an infinite end included) yield the bottom interface: the abstraction
+blocks those inputs, which keeps every synthesized controller inside
+the modeled region.
 """
 
 import itertools
@@ -102,25 +113,22 @@ def _as_interval(x):
 
 
 def iadd(a, b):
-    a, b = _as_interval(a), _as_interval(b)
     return a[0] + b[0], a[1] + b[1]
 
 
 def imul(a, b):
-    a, b = _as_interval(a), _as_interval(b)
     ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return min(ps), max(ps)
 
 
-def _contains_multiple(lo, hi, offset, period=_TWO_PI):
-    """Does [lo, hi] contain offset + period * k for some integer k?"""
-    return (math.ceil((lo - offset) / period)
-            <= math.floor((hi - offset) / period))
+def _contains_multiple(lo, hi, offset):
+    """Does [lo, hi] contain offset + 2 pi k for some integer k?"""
+    return (math.ceil((lo - offset) / _TWO_PI)
+            <= math.floor((hi - offset) / _TWO_PI))
 
 
 def icos(lo, hi):
     """Exact range of cos over [lo, hi]."""
-    (lo, hi) = _as_interval((lo, hi))
     if hi - lo >= _TWO_PI:
         return -1.0, 1.0
     vals = [math.cos(lo), math.cos(hi)]
@@ -136,33 +144,21 @@ def isin(lo, hi):
     return icos(lo - math.pi / 2.0, hi - math.pi / 2.0)
 
 
-def wrap_interval(lo, hi, dom_lo, dom_hi):
-    """Shift an interval so its left end lies inside a periodic domain.
-
-    Keeps the width; the right end may stick past `dom_hi`, which the
-    set encoder interprets as crossing the seam.  Widths of a full
-    period or more cover the whole domain.
-    """
-    period = dom_hi - dom_lo
-    if hi - lo >= period:
-        return dom_lo, dom_hi
-    s = math.fmod(lo - dom_lo, period)
-    if s < 0:
-        s += period
-    return dom_lo + s, dom_lo + s + (hi - lo)
-
-
 # -- dynamics components ---------------------------------------------------
 
 @dataclass(frozen=True)
 class DynamicsComponent:
     """One block of a factored transition map.
 
-    `evaluator` maps a dict of input intervals (scalars for discrete
-    controls) to a superset interval of the output dimension's next
-    value, and must be inclusion-monotone.  `view` optionally lowers
-    the bit precision used for named dimensions; kept bits are the most
-    significant ones and default to full precision.
+    `evaluator` maps a dict of input values to a `(lo, hi)` superset
+    interval of the output dimension's next value, and must be
+    inclusion-monotone.  A continuous input's value is a `(lo, hi)` pair
+    of floats and a discrete control's value is a number.  The cell
+    table checks each input value and each result once (see the module
+    notes), so an evaluator need not check them, nor wrap a result at a
+    periodic output.  `view` optionally lowers the bit precision used
+    for named dimensions; kept bits are the most significant ones and
+    default to full precision.
     """
 
     name: str
@@ -183,19 +179,18 @@ class DynamicsComponent:
 
 
 def _dubins_px(box, length):
-    return iadd(box["px"], imul(box["v"], icos(*_as_interval(box["theta"]))))
+    v = box["v"]
+    return iadd(box["px"], imul((v, v), icos(*box["theta"])))
 
 
 def _dubins_py(box, length):
-    return iadd(box["py"], imul(box["v"], isin(*_as_interval(box["theta"]))))
+    v = box["v"]
+    return iadd(box["py"], imul((v, v), isin(*box["theta"])))
 
 
 def _dubins_theta(box, length):
-    v = _as_interval(box["v"])
-    turn = imul((v[0] / length, v[1] / length),
-                isin(*_as_interval(box["omega"])))
-    lo, hi = iadd(box["theta"], turn)
-    return wrap_interval(lo, hi, -math.pi, math.pi)
+    v = box["v"] / length
+    return iadd(box["theta"], imul((v, v), isin(box["omega"], box["omega"])))
 
 
 _DUBINS = {
@@ -203,20 +198,6 @@ _DUBINS = {
     "py": (_dubins_py, ("py", "theta"), ("v",)),
     "theta": (_dubins_theta, ("theta",), ("v", "omega")),
 }
-
-
-def interval_eval_dubins(name, box, length=DUBINS_LENGTH):
-    """Interval extension of one planar-vehicle component.
-
-    `name` is 'px', 'py' or 'theta'; `box` maps that component's inputs
-    to intervals or scalars.  The heading result is wrapped so its left
-    end lies in [-pi, pi).
-    """
-    try:
-        fn = _DUBINS[name][0]
-    except KeyError:
-        raise BddError("unknown component %r" % (name,)) from None
-    return fn(box, length)
 
 
 def dubins_components(length=DUBINS_LENGTH, view=None):

@@ -194,6 +194,12 @@ def _validate(cfg):
                  "downsample and coarsen_threshold cannot be combined")
     _require(_is_int(cfg["seed"]), "seed must be an integer")
     _require(isinstance(cfg["images"], bool), "images must be true or false")
+    exp = cfg["experiment"]
+    _require(isinstance(exp, dict), "experiment must be a mapping")
+    counts = exp.get("counts", [])
+    _require(isinstance(counts, (list, tuple))
+             and all(_is_int(n) and n >= 0 for n in counts),
+             "experiment counts must be a list of nonnegative integers")
     if cfg["system"] == "custom":
         _require(isinstance(cfg["dims"], list) and cfg["dims"],
                  "custom system needs a dims list")
@@ -496,8 +502,6 @@ def experiment_basin_vs_samples(cfg):
     _check_keys(exp, {"counts"}, "experiment")
     counts = exp.get("counts",
                      [500, 1000, 2000, 4000, 8000, 16000, 32000])
-    _require(all(_is_int(n) and n >= 0 for n in counts),
-             "experiment counts must be nonnegative integers")
     enc, comps, goal = _setup(cfg, "basin_vs_samples")
     runs = [("random", n, [RandomRects(n, seed=cfg["seed"] + i)
                            for i in range(len(comps))]) for n in counts]
@@ -525,6 +529,7 @@ _VARIANTS = (
 def experiment_decomp_vs_mono(cfg):
     """Solve the same game under every grouping of the components, from
     one monolithic relation to the fully decomposed set."""
+    _check_keys(cfg["experiment"], (), "experiment")
     enc, comps, goal = _setup(cfg, "decomp_vs_mono")
     _require({c.name for c in comps} == {"px", "py", "theta"},
              "decomp_vs_mono needs the dubins system")

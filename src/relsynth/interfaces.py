@@ -244,6 +244,9 @@ def save_interface(f, stream, meta=None):
 def load_interface(m, stream):
     """Read an interface saved by `save_interface`; returns (interface, meta).
 
+    `meta` is the JSON object of the `meta:` line, or `{}` without one;
+    a line that holds any other JSON value raises `BddError`.
+
     The manager must know every variable in the stream, in the same
     relative order; a stream in another order raises `bdd.OrderError`.
     """
@@ -264,6 +267,8 @@ def load_interface(m, stream):
                 meta = json.loads(line[len("meta:"):])
             except json.JSONDecodeError as e:
                 raise BddError("malformed meta line: %s" % e) from None
+            if not isinstance(meta, dict):
+                raise BddError("meta line must hold a JSON object")
         elif line.startswith("vars:"):
             break
         else:

@@ -1,5 +1,6 @@
 """End-to-end command-line checks on small grids."""
 
+import hashlib
 import os
 
 import pytest
@@ -117,6 +118,43 @@ def test_repeat_runs_are_deterministic(tmp_path):
     assert a == b and a["version"]
 
 
+# sha256 of `to_text` of the vehicle's px, py and theta interfaces at 5
+# bits, recorded from a builder that checked every interval operand and
+# wrapped the heading in its evaluator: how the interval code checks and
+# wraps must not move a cell
+VEHICLE_DIGESTS = {
+    "exhaustive": (
+        "8aaeac0338c0379f54a1a20091f0e1803f1a438a96e9ace897ec184ca7d7f45b",
+        "1373361dde3f281a2d6d1f40fd9fd88f1cb1553fb93b7666cd83c85e47122b4c",
+        "945ca84a03d6f72a4479f3531d142f8b7b19560fd7a194f56a2212692d10bab6"),
+    "random_rects": (
+        "7b89b652ee60a8fadc443fa9eaeb7b6da7ee6299e652f53768a63f7b1f7cbaf6",
+        "68a3b456c22be84f6677e53e69f2c1df5f5b26254d5faff04114b584e4e32f3e",
+        "efc9531f151d159f3d5656b94b5aa52e1a834c4b5d05b8c1e67a2c2db93235db"),
+    "short": (
+        "8aaeac0338c0379f54a1a20091f0e1803f1a438a96e9ace897ec184ca7d7f45b",
+        "1373361dde3f281a2d6d1f40fd9fd88f1cb1553fb93b7666cd83c85e47122b4c",
+        "e783fcdc7ba2d4fffbce62f811a6e6750a18ce832630207c2297c5ab98943bcf"),
+}
+
+
+@pytest.mark.parametrize("label, extra", [
+    ("exhaustive", {}),
+    ("random_rects", {"plan": {"kind": "random_rects", "count": 300,
+                               "seed": 1}}),
+    ("short", {"length": 0.7}),
+])
+def test_vehicle_interfaces_match_recorded_digests(tmp_path, label, extra):
+    cfg = load_config(write_config(tmp_path / "c.yaml", bits=5, **extra))
+    enc, comps = build_system(cfg)
+    plan = cli.build_plan(cfg)
+    assert [c.name for c in comps] == ["px", "py", "theta"]
+    got = tuple(hashlib.sha256(enc.m.to_text(
+        cli.traverse(c, plan, enc).pred).encode()).hexdigest()
+        for c in comps)
+    assert got == VEHICLE_DIGESTS[label]
+
+
 def test_level_order_keeps_cells_and_slices(tmp_path, monkeypatch):
     """The vehicle's level order changes the diagrams, not the cells:
     a solve in the declaration order writes the same cell runs and
@@ -230,6 +268,14 @@ def test_config_errors_exit_2(tmp_path):
                        experiment={"counts": [True]})
     assert main(["experiment", "basin_vs_samples", "--config", cfg]) == 2
     assert not os.path.exists(tmp_path / "re")
+    # every experiment takes a mapping, and only the keys it reads
+    for name in ("basin_vs_samples", "greedy_cap", "decomp_vs_mono"):
+        for exp in (None, [1], 5, {"counts": 5}, {"foo": 1}):
+            cfg = write_config(tmp_path / "m.yaml", out=str(tmp_path / "re"),
+                               experiment=exp)
+            assert main(["experiment", name, "--config", cfg]) == 2, \
+                (name, exp)
+            assert not os.path.exists(tmp_path / "re"), (name, exp)
     good = write_config(tmp_path / "ok.yaml", out=str(tmp_path / "r"))
     assert main(["solve", "--config", good,
                  str(tmp_path / "nofile.txt")]) == 2
@@ -290,6 +336,21 @@ def test_bits_mismatch_between_files_and_config(tmp_path):
     cfg4 = write_config(tmp_path / "c4.yaml", bits=4,
                         out=str(tmp_path / "run"))
     assert main(["solve", "--config", cfg4] + paths) == 2
+
+
+def test_interface_file_whose_meta_is_no_object_exits_2(tmp_path):
+    cfg = write_config(tmp_path / "c.yaml", out=str(tmp_path / "abs"))
+    assert main(["abstract", "--config", cfg]) == 0
+    paths = [str(tmp_path / "abs" / ("interface_%s.txt" % n))
+             for n in ("px", "py", "theta")]
+    with open(paths[0]) as fh:
+        lines = [("meta: [1]" if ln.startswith("meta:") else ln)
+                 for ln in fh.read().splitlines()]
+    with open(paths[0], "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    cfg2 = write_config(tmp_path / "c2.yaml", out=str(tmp_path / "run"))
+    assert main(["solve", "--config", cfg2] + paths) == 2
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_node_cap_exits_3(tmp_path):

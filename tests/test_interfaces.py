@@ -393,3 +393,7 @@ def test_load_errors():
     broken = buf.getvalue().replace("vars: i o", "vars: i z")
     with pytest.raises(BddError):
         load_interface(m, io.StringIO(broken))
+    not_object = buf.getvalue().replace("outputs: o\n",
+                                        "outputs: o\nmeta: [1]\n")
+    with pytest.raises(BddError, match="JSON object"):
+        load_interface(m, io.StringIO(not_object))

@@ -1,0 +1,66 @@
+"""Smoke tests of the measuring scripts under `tools/`."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOLS = os.path.join(ROOT, "tools")
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(TOOLS, name + ".py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+SNIPPET = '''"""Module docstring,
+over two lines."""
+
+# a comment line
+
+
+def f(x):
+    """One-line docstring."""
+    y = (x +  # a trailing comment
+         1)
+    return y
+'''
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks():
+    assert load_tool("code_lines").code_lines(SNIPPET) == 4
+
+
+def test_code_lines_counts_a_directory(tmp_path, capsys):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "b.py").write_text(SNIPPET)
+    (tmp_path / "sub" / "a.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    load_tool("code_lines").main([str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split() for ln in lines] == [
+        ["4", str(tmp_path / "b.py")], ["1", str(tmp_path / "sub" / "a.py")],
+        ["5", "total"]]
+
+
+@pytest.mark.parametrize("trees, config, code", [
+    ([ROOT], "toy.yaml", 0),
+    ([ROOT, ROOT], "toy.yaml", 0),
+    ([ROOT], "absent.yaml", 1),
+])
+def test_child_stats_runs_and_compares(tmp_path, trees, config, code):
+    (tmp_path / "toy.yaml").write_text(
+        "system: toy1d\nobjective: {box: {x: [0.5, 1.0]}}\n")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "child_stats.py"), "-n", "2"]
+        + trees + ["--", "solve", "--config", str(tmp_path / config)],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    if code == 0:
+        assert proc.stdout.splitlines()[-1] == "outputs: identical"

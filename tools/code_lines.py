@@ -3,13 +3,16 @@
 A code line holds at least one code token.  Blank lines, comment lines
 and the lines of module, class and function docstrings do not count.
 
-Usage: python3 tools/code_lines.py FILE...
+Usage: python3 tools/code_lines.py PATH...
 
-Prints one `count path` line per file, then the total.
+A `PATH` that names a directory stands for the `*.py` files under it,
+in sorted order.  Prints one `count path` line per file, then the total.
 """
 
 import ast
+import glob
 import io
+import os
 import sys
 import tokenize
 
@@ -42,9 +45,19 @@ def code_lines(source):
     return len(lines - skip)
 
 
+def source_files(paths):
+    """`paths` with every directory replaced by its `*.py` files."""
+    for path in paths:
+        if os.path.isdir(path):
+            yield from sorted(glob.glob(os.path.join(path, "**", "*.py"),
+                                        recursive=True))
+        else:
+            yield path
+
+
 def main(paths):
     total = 0
-    for path in paths:
+    for path in source_files(paths):
         with open(path, encoding="utf-8") as f:
             n = code_lines(f.read())
         total += n
