@@ -25,7 +25,7 @@ from relsynth.abstraction import (DUBINS_LENGTH, DynamicsComponent,
                                   Exhaustive, RandomRects, ShiftedGrids,
                                   dubins_components, traverse)
 from relsynth.bdd import BddError, CapacityError, OrderError
-from relsynth.games import Game, downsample_schedule, dump_cell_runs, solve
+from relsynth.games import Game, downsample_schedule, solve
 from relsynth.interfaces import comp, load_interface, save_interface
 from relsynth.spaces import Dimension, Encoding
 
@@ -396,6 +396,25 @@ def _load_components(enc, paths, cfg):
     return comps
 
 
+def _write_csv(path, header, rows):
+    """Write a `header` line, then one line per row: floats as `%.6f`,
+    every other value through `str`."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join("%.6f" % v if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+_TRACE_HEADER = "iter,nodes,states,seconds,coarsen_events"
+
+
+def _trace_rows(trace):
+    """The `_TRACE_HEADER` columns of a solve's trace rows."""
+    return [(r.iteration, r.nodes, r.states, r.seconds, r.coarsen_events)
+            for r in trace.rows]
+
+
 def _write_slices(enc, runs, out):
     """One binary PGM per heading bin: white = winning (px across,
     py up).
@@ -466,14 +485,15 @@ def cmd_solve(cfg, files=()):
     else:
         plan = build_plan(cfg)
         interfaces = [traverse(c, plan, enc) for c in comps]
+        # keep the interfaces and the goal; free their build garbage
+        enc.m.sweep([f.pred for f in interfaces] + [goal])
     res, basin, _ = solve_game(cfg, enc, interfaces, goal)
     goal_states = enc.count_states(goal)
     out = _start_output(cfg)
-    with open(os.path.join(out, "trace.csv"), "w") as fh:
-        res.trace.write_csv(fh)
+    _write_csv(os.path.join(out, "trace.csv"), _TRACE_HEADER,
+               _trace_rows(res.trace))
     runs = enc.cell_runs(res.winning.pred)
-    with open(os.path.join(out, "winning_cells.csv"), "w") as fh:
-        dump_cell_runs(runs, fh)
+    _write_csv(os.path.join(out, "winning_cells.csv"), "start,length", runs)
     run_meta = {"objective": cfg["objective"]["kind"],
                 "basin_states": basin, "goal_states": goal_states,
                 "iterations": res.iterations,
@@ -509,6 +529,8 @@ def experiment_basin_vs_samples(cfg):
     rows = []
     results = {}
     for kind, count, plans in runs:
+        # free the last count's builds: its solve protected its results
+        enc.m.sweep([goal])
         interfaces = [traverse(c, p, enc) for c, p in zip(comps, plans)]
         res, basin, seconds = solve_game(cfg, enc, interfaces, goal)
         rows.append((kind, count, basin,
@@ -575,9 +597,7 @@ def experiment_greedy_cap(cfg):
         res = solve_game(cfg, enc, interfaces, goal,
                          coarsen_threshold=thr)[0]
         results[variant] = res
-        for row in res.trace.rows:
-            rows.append((variant, row.iteration, row.nodes, row.states,
-                         row.seconds, row.coarsen_events))
+        rows.extend((variant, *row) for row in _trace_rows(res.trace))
     return rows, results, threshold
 
 
@@ -587,15 +607,8 @@ EXPERIMENTS = {
     "decomp_vs_mono": (experiment_decomp_vs_mono,
                        "variant,basin,nodes,seconds,compose_seconds,"
                        "iterations"),
-    "greedy_cap": (experiment_greedy_cap,
-                   "variant,iter,nodes,states,seconds,coarsen_events"),
+    "greedy_cap": (experiment_greedy_cap, "variant," + _TRACE_HEADER),
 }
-
-
-def _fmt_cell(v):
-    if isinstance(v, float):
-        return "%.6f" % v
-    return str(v)
 
 
 def cmd_experiment(name, cfg):
@@ -606,10 +619,7 @@ def cmd_experiment(name, cfg):
     outcome = fn(cfg)
     rows = outcome[0]
     path = os.path.join(_start_output(cfg), "%s.csv" % name)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+    _write_csv(path, header, rows)
     print("wrote %s (%d rows)" % (path, len(rows)))
     return outcome
 

@@ -28,6 +28,9 @@ node that is not reachable from its game (component predicates, their
 nonblocking sets, the goal), its iterates or a protected handle; the
 returned winning region and controller are protected.  Any other handle
 a caller keeps across a solve must be protected (`m.protect`) first.
+
+The solver writes no files: it returns predicates and a trace, and the
+command line (`relsynth.cli`) decides every output format.
 """
 
 import logging
@@ -135,13 +138,6 @@ class GameTrace:
     rows: list = field(default_factory=list)
     stop_reason: str = "budget"
 
-    def write_csv(self, stream):
-        stream.write("iter,nodes,states,seconds,coarsen_events\n")
-        for r in self.rows:
-            stream.write("%d,%d,%d,%.6f,%d\n"
-                         % (r.iteration, r.nodes, r.states, r.seconds,
-                            r.coarsen_events))
-
 
 @dataclass
 class GameResult:
@@ -217,7 +213,6 @@ def _iterate(game, levels, max_iters, coarsen_threshold=None):
     fuse = "or" if reach else "and"
     z = m.false if reach else game.goal
     trace = GameTrace()
-    zs = [z]
     for sub in levels:
         seen = {z}
         limit = m.size + SWEEP_SLACK
@@ -244,10 +239,9 @@ def _iterate(game, levels, max_iters, coarsen_threshold=None):
                 trace.stop_reason = "cycle"
                 break
             seen.add(z)
-            zs.append(z)
             if m.size > limit:
-                live, freed = m.sweep(zs + [stage] + game.roots()
-                                      + sub.roots())
+                live, freed = m.sweep([r.z for r in trace.rows] + [stage]
+                                      + game.roots() + sub.roots())
                 log.debug("sweep kept %d nodes, freed %d", live, freed)
                 limit = live + SWEEP_SLACK
         if trace.stop_reason != "fixed_point":
@@ -346,15 +340,3 @@ def downsample_schedule(game, levels, max_iters=1_000_000):
     # built lazily: a level's dynamics are swept once it is done
     return _iterate(game, map(at, levels), max_iters)
 
-
-def dump_cell_runs(runs, stream):
-    """Write maximal runs of winning cell codes as `start,length` lines.
-
-    `runs` come from `Encoding.cell_runs`, in increasing order: cell
-    codes concatenate the state dimensions' bits msb-first in
-    declaration order, whatever the manager's variable order, and
-    `cell_runs` reads them off the solver's own diagram.
-    """
-    stream.write("start,length\n")
-    for start, length in runs:
-        stream.write("%d,%d\n" % (start, length))

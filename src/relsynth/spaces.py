@@ -23,6 +23,7 @@ Conventions used throughout the package:
 """
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -44,6 +45,12 @@ def _iceil(t, eps=1e-9):
     return math.ceil(t)
 
 
+def _finite(x):
+    """A finite real number, and not a boolean."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) \
+        and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class Dimension:
     """One coordinate of a space, continuous or discrete."""
@@ -56,15 +63,19 @@ class Dimension:
     values: tuple = None
 
     def __post_init__(self):
-        if self.bits < 0:
-            raise BddError("bits must be nonnegative")
+        if not isinstance(self.bits, int) or isinstance(self.bits, bool) \
+                or self.bits < 0:
+            raise BddError("bits must be a nonnegative integer")
         if self.values is None:
-            if self.lo is None or self.hi is None or not self.lo < self.hi:
-                raise BddError(
-                    "continuous dimension %r needs lo < hi" % self.name)
+            if not (_finite(self.lo) and _finite(self.hi)
+                    and self.lo < self.hi):
+                raise BddError("continuous dimension %r needs finite "
+                               "lo < hi" % self.name)
         else:
             if self.periodic:
                 raise BddError("discrete dimensions cannot be periodic")
+            if not all(map(_finite, self.values)):
+                raise BddError("discrete values must be finite numbers")
             if len(set(self.values)) != len(self.values):
                 raise BddError("discrete values must be distinct")
             if not 1 <= len(self.values) <= (1 << self.bits):
@@ -338,7 +349,6 @@ class Encoding:
             for c, n in zip(self._state_vars[d.name], self._next_vars[d.name]):
                 self.prime_map[c] = n
         self.unprime_map = {n: c for c, n in self.prime_map.items()}
-        self._u_domain = None
 
     def state_vars(self, name):
         return list(self._state_vars[name])
@@ -364,14 +374,12 @@ class Encoding:
 
     def control_domain(self):
         """Codes naming actual control values (discrete dims constrain)."""
-        if self._u_domain is None:
-            f = self.m.true
-            for d in self.control_dims:
-                if d.is_discrete:
-                    f = self.m.apply("and", f, discrete_domain_predicate(
-                        self.m, d, self._control_vars[d.name]))
-            self._u_domain = self.m.protect(f)
-        return self._u_domain
+        f = self.m.true
+        for d in self.control_dims:
+            if d.is_discrete:
+                f = self.m.apply("and", f, discrete_domain_predicate(
+                    self.m, d, self._control_vars[d.name]))
+        return f
 
     def state_box(self, box, mode="inner", role="state"):
         """Conjunction of per-dimension set encodings over state bits.

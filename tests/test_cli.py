@@ -11,8 +11,9 @@ import relsynth.games as games
 from relsynth.bdd import BDD
 from relsynth.cli import (ConfigError, build_system, cmd_experiment,
                           load_config, main)
+from relsynth.games import GameTrace, TraceRow
 from relsynth.interfaces import load_interface
-from relsynth.spaces import Encoding
+from relsynth.spaces import Dimension, Encoding, code_range
 
 
 def write_config(path, **extra):
@@ -59,6 +60,59 @@ def test_toy_reach_writes_two_row_trace(tmp_path):
     # identity dynamics cannot leave the goal: basin == goal cells
     with open(tmp_path / "run" / "winning_cells.csv") as fh:
         assert fh.read() == "start,length\n2,2\n"
+
+
+def test_trace_csv_and_cell_runs(tmp_path):
+    """One writer formats every CSV: floats as `%.6f`, the rest by str."""
+    path = tmp_path / "out.csv"
+    tr = GameTrace([TraceRow(1, 0, 5, 12, 0.25, 0),
+                    TraceRow(2, 0, 7, 30, 1.5, 2)], "fixed_point")
+    cli._write_csv(path, cli._TRACE_HEADER, cli._trace_rows(tr))
+    assert path.read_text() == (
+        "iter,nodes,states,seconds,coarsen_events\n"
+        "1,5,12,0.250000,0\n"
+        "2,7,30,1.500000,2\n")
+
+    enc = Encoding([Dimension.continuous("px", 0.0, 1.0, 2)],
+                   [Dimension.discrete("u", (0.0, 1.0))])
+    cli._write_csv(path, "start,length", enc.cell_runs(
+        code_range(enc.m, enc.state_vars("px"), 1, 2)))
+    assert path.read_text() == "start,length\n1,2\n"
+
+    cli._write_csv(path, "plan,samples,basin,seconds",
+                   [("exhaustive", "", 320, 0.5)])
+    assert path.read_text() == (
+        "plan,samples,basin,seconds\n"
+        "exhaustive,,320,0.500000\n")
+
+
+def interface_bodies(out):
+    """Each interface file of an `abstract` run, without its meta line
+    (which carries the build seconds)."""
+    return {name: [line for line in (out / name).read_text().splitlines()
+                   if not line.startswith("meta:")]
+            for name in sorted(os.listdir(out)) if name != "config.yaml"}
+
+
+def test_seed_flag_overrides_the_config(tmp_path):
+    """`--seed` reaches a sampling plan that names no seed of its own,
+    as `seed:` in the config does, and the run records it."""
+    plan = {"kind": "random_rects", "count": 40}
+    flag = write_config(tmp_path / "f.yaml", plan=plan,
+                        out=str(tmp_path / "flag"))
+    keyed = write_config(tmp_path / "k.yaml", plan=plan, seed=5,
+                         out=str(tmp_path / "keyed"))
+    unseeded = write_config(tmp_path / "u.yaml", plan=plan,
+                            out=str(tmp_path / "unseeded"))
+    assert main(["abstract", "--config", flag, "--seed", "5"]) == 0
+    assert main(["abstract", "--config", keyed]) == 0
+    assert main(["abstract", "--config", unseeded]) == 0
+    got = interface_bodies(tmp_path / "flag")
+    assert len(got) == 3
+    assert got == interface_bodies(tmp_path / "keyed")
+    assert got != interface_bodies(tmp_path / "unseeded")
+    recorded = yaml.safe_load((tmp_path / "flag" / "config.yaml").read_text())
+    assert recorded["seed"] == 5
 
 
 def test_abstract_then_solve_from_files(tmp_path):
@@ -489,6 +543,44 @@ def test_experiment_basin_vs_samples_monotone(tmp_path):
     assert basins == sorted(basins)
     assert rows[-1][0] == "exhaustive"
     assert basins[-1] <= int(rows[-1][2])
+    # the exhaustive row solves what `relsynth solve` does: the sweeps
+    # between counts keep the goal
+    cfg = write_config(tmp_path / "s.yaml", bits=4, images=False,
+                       out=str(tmp_path / "s"))
+    meta = solve_meta(cfg)
+    enc, _ = build_system(load_config(cfg))
+    with open(tmp_path / "s" / "winning.txt") as fh:
+        winning = load_interface(enc.m, fh)[0]
+    assert (int(rows[-1][2]), int(rows[-1][3])) == \
+        (meta["basin_states"], enc.m.node_count(winning.pred))
+
+
+def test_experiment_basin_vs_samples_frees_earlier_counts(tmp_path,
+                                                         monkeypatch):
+    """Each count builds on a store that holds only the goal, the
+    results of the solves before it and the constants."""
+    cfg = load_config(write_config(tmp_path / "c.yaml", bits=4,
+                                   experiment={"counts": [10, 40, 160]},
+                                   out=str(tmp_path / "r")))
+    goals, stores = [], []
+    build_goal, traverse = cli.build_goal, cli.traverse
+
+    def keep_goal(cfg, enc):
+        goals.append(build_goal(cfg, enc))
+        return goals[-1]
+
+    def check_store(c, plan, enc):
+        if c.name == "px":  # the first build of a count
+            m = enc.m
+            stores.append(
+                (m.size, len(m._reach([*goals, *m._protected])) + 2))
+        return traverse(c, plan, enc)
+    monkeypatch.setattr(cli, "build_goal", keep_goal)
+    monkeypatch.setattr(cli, "traverse", check_store)
+    rows = cmd_experiment("basin_vs_samples", cfg)[0]
+    assert len(goals) == 1 and len(stores) == len(rows) == 4
+    for size, kept in stores:
+        assert size == kept
 
 
 def test_experiment_greedy_cap_rows(tmp_path):

@@ -1,6 +1,5 @@
 """Game solver checks against enumeration oracles and hand examples."""
 
-import io
 import random
 
 import pytest
@@ -9,9 +8,8 @@ import relsynth.games as games
 from relsynth.abstraction import Exhaustive, traverse
 from relsynth.bdd import BddError
 from relsynth.cli import DEFAULTS, build_system
-from relsynth.games import (Game, GameTrace, TraceRow, coarsen_component,
-                            cpre, downsample_schedule, dump_cell_runs,
-                            greedy_coarsen, solve)
+from relsynth.games import (Game, coarsen_component, cpre,
+                            downsample_schedule, greedy_coarsen, solve)
 from relsynth.interfaces import Interface, comp, ihide, is_refinement, ohide, sink
 from relsynth.spaces import Dimension, Encoding
 from util import assignments, rand_pred
@@ -486,18 +484,3 @@ def test_game_validation():
     with pytest.raises(BddError):
         Game(enc, [bad_in, only_px], "reach", m.false)
 
-
-def test_trace_csv_and_cell_runs():
-    tr = GameTrace([TraceRow(1, 0, 5, 12, 0.25, 0),
-                    TraceRow(2, 0, 7, 30, 1.5, 2)], "fixed_point")
-    out = io.StringIO()
-    tr.write_csv(out)
-    assert out.getvalue() == (
-        "iter,nodes,states,seconds,coarsen_events\n"
-        "1,5,12,0.250000,0\n"
-        "2,7,30,1.500000,2\n")
-
-    enc = counter_encoding(2)
-    runs = io.StringIO()
-    dump_cell_runs(enc.cell_runs(cells_pred(enc, "px", [1, 2])), runs)
-    assert runs.getvalue() == "start,length\n1,2\n"

@@ -66,6 +66,17 @@ def test_dimension_validation():
         Dimension.discrete("u", [1, 2, 3], bits=1)
     with pytest.raises(BddError):
         Dimension("x", 2, values=(1.0,), periodic=True)
+    # library input is checked as the configuration is
+    for bits in (2.5, "3", None, True):
+        with pytest.raises(BddError):
+            Dimension.continuous("x", 0.0, 1.0, bits)
+    for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)):
+        with pytest.raises(BddError):
+            Dimension.continuous("x", lo, hi, 3)
+    for values in ([1.0, math.nan], [1.0, math.inf], [1.0, "a"],
+                   [True, 2.0]):
+        with pytest.raises(BddError):
+            Dimension.discrete("u", values)
     d = Dimension.discrete("u", [7.0])
     assert d.bits == 0 and d.cells == 1
 
