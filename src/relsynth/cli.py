@@ -2,10 +2,13 @@
 
 Configuration comes from one YAML file; command-line flags override the
 handful of knobs that vary between runs (seed, output directory,
-iteration budget, coarsening threshold).  Every run writes `config.yaml`
+iteration budget, coarsening threshold).  One table holds each key's
+default and its check, with a small table per nested mapping, and one
+walker checks and fills every level.  Every run writes `config.yaml`
 — the fully resolved configuration plus the tool version — next to its
 results, so an output directory is self-describing and a run can be
-repeated byte-for-byte from it (timing columns excepted).
+repeated byte-for-byte from it (timing columns excepted); reading it
+back ignores the version.
 
 Exit codes: 0 success, 2 configuration or input error, 3 node store
 exhausted or out of memory.  A command creates its output directory
@@ -35,31 +38,16 @@ class ConfigError(Exception):
 
 
 # -- configuration ----------------------------------------------------------
+#
+# Each table maps a key to its default and its check.  A check takes the
+# value and the key's name and returns the value, with the defaults of a
+# nested mapping filled in, or raises ConfigError.  The library checks
+# the fields it owns (node cap, dimension fields, plan and view ranges),
+# and the configuration maps its BddError to ConfigError.
 
-DEFAULTS = {
-    "system": "dubins",
-    "bits": 7,
-    "length": DUBINS_LENGTH,
-    "view": None,
-    "dims": None,
-    "controls": None,
-    "plan": {"kind": "exhaustive"},
-    "objective": {"kind": "reach",
-                  "box": {"px": [-0.5, 0.5], "py": [-0.5, 0.5]},
-                  "encode": "inner"},
-    "solver": {"max_iters": 1000000, "coarsen_threshold": None,
-               "downsample": None},
-    "seed": 0,
-    "cap": None,
-    "out": "relsynth-out",
-    "images": True,
-    "experiment": {},
-}
-
-_PLAN_KEYS = {"exhaustive": {"kind", "bits"},
-              "random_rects": {"kind", "count", "seed"},
-              "shifted_grids": {"kind", "sizes"}}
-_GRID_SIZES = (4, 5)
+def _require(cond, msg):
+    if not cond:
+        raise ConfigError(msg)
 
 
 def _check_keys(mapping, allowed, where):
@@ -69,22 +57,171 @@ def _check_keys(mapping, allowed, where):
                           % (where, ", ".join(sorted(unknown))))
 
 
-def _require(cond, msg):
-    if not cond:
-        raise ConfigError(msg)
+def _walk(raw, table, where, fill=True):
+    """The mapping `raw` checked against `table`, with the defaults of
+    its absent keys filled in if `fill`.  `where` names the mapping
+    ("" for the configuration itself)."""
+    _require(isinstance(raw, dict),
+             "%s must be a mapping" % (where or "config"))
+    _check_keys(raw, table, where or "config")
+    return {key: check(raw.get(key, dflt), (where + " " + key).lstrip())
+            for key, (dflt, check) in table.items() if fill or key in raw}
 
 
-def _is_int(x):
-    """An integer, and not a boolean (YAML `true` is a Python int)."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def _is(pred, what):
+    """The check that `pred` holds of a value, which must be `what`."""
+    def check(x, name):
+        _require(pred(x), "%s must be %s" % (name, what))
+        return x
+    return check
 
 
-def _is_number(x):
-    return _is_int(x) or isinstance(x, float)
+def _library(x, name):
+    """No check here: the library checks this value."""
+    return x
+
+
+def _choice(*names):
+    return _is(lambda x: x in names,
+               "%s or %s" % (", ".join(names[:-1]), names[-1]))
+
+
+def _int(lo=-math.inf, hi=math.inf):
+    """An integer in lo..hi, and not a boolean (YAML `true` is a Python
+    int)."""
+    return lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                      and lo <= x <= hi)
+
+
+_ANY_INT, _NONNEG, _BITS = _int(), _int(0), _int(1, 24)
+
+
+def _real(x):
+    """A number that converts to a finite float, and not a boolean."""
+    try:
+        return not isinstance(x, bool) and math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _opt(pred):
+    return lambda x: x is None or pred(x)
+
+
+def _map(pred):
+    """A mapping whose values all satisfy `pred`."""
+    return lambda x: isinstance(x, dict) and all(map(pred, x.values()))
+
+
+def _list(pred, empty=False):
+    """A list, nonempty unless `empty`, whose items all satisfy `pred`."""
+    return lambda x: (isinstance(x, list) and (empty or x != [])
+                      and all(map(pred, x)))
+
+
+def _table(table, fill=True):
+    """The check of a nested mapping: `_walk` against `table`."""
+    return lambda x, name: _walk(x, table, name, fill)
+
+
+def _entries(table):
+    """The check of a list of mappings, each checked against `table`
+    with no default filled in: the reader fills them."""
+    def check(x, name):
+        _require(x is None or isinstance(x, list), "%s must be a list" % name)
+        for entry in x or ():
+            _walk(entry, table, name + " entry", fill=False)
+        return x
+    return check
+
+
+def _plan(plan, name, fill=False):
+    """A plan checked against the table of its kind (exhaustive if it
+    names none).  Only the kind is filled in, unless `fill`: the written
+    configuration leaves out the other defaults, and `build_plan` fills
+    them."""
+    kind = plan.get("kind", "exhaustive") if isinstance(plan, dict) else None
+    _require(isinstance(kind, str) and kind in _PLANS,
+             "%s must be a mapping with a kind in %s" % (name, sorted(_PLANS)))
+    rest = {k: v for k, v in plan.items() if k != "kind"}
+    return dict(_walk(rest, _PLANS[kind], name, fill), kind=kind)
+
+
+_BIT_MAP = _is(_opt(_map(_NONNEG)),
+               "a mapping of names to nonnegative integers")
+
+_PLANS = {
+    "exhaustive": {"bits": (None, _BIT_MAP)},
+    # a plan seed of None is the run's seed
+    "random_rects": {"count": (1000, _is(_NONNEG, "a nonnegative integer")),
+                     "seed": (None, _is(_opt(_ANY_INT), "an integer"))},
+    "shifted_grids": {"sizes": ([4, 5], _is(_list(_ANY_INT),
+                                            "a nonempty list of integers"))},
+}
+
+_OBJECTIVE = {
+    "kind": ("reach", _choice("reach", "safe")),
+    "box": ({"px": [-0.5, 0.5], "py": [-0.5, 0.5]},
+            _is(_map(lambda iv: isinstance(iv, list) and len(iv) == 2
+                     and all(map(_real, iv))),
+                "a mapping of names to [lo, hi] with finite numbers")),
+    "encode": ("inner", _choice("inner", "outer")),
+}
+
+_SOLVER = {
+    "max_iters": (1000000, _is(_NONNEG, "a nonnegative integer")),
+    "coarsen_threshold": (None, _is(_opt(_int(1)), "a positive integer")),
+    "downsample": (None, _is(_opt(_list(lambda lv: _NONNEG(lv)
+                                        or _map(_NONNEG)(lv))),
+                             "a nonempty list of levels, each an integer "
+                             "or a mapping of names to bits")),
+}
+
+# custom grid entries: `Dimension` checks the fields but the bits range
+# and that the values come as a list
+_DIM = {"name": (None, _library), "lo": (None, _library),
+        "hi": (None, _library),
+        "bits": (None, _is(_BITS, "an integer in 1..24")),
+        "periodic": (False, _library)}
+_CONTROL = {"name": (None, _library),
+            "values": (None, _is(lambda x: isinstance(x, list), "a list"))}
+
+_EXPERIMENT = {
+    "counts": ([500, 1000, 2000, 4000, 8000, 16000, 32000],
+               _is(_list(_NONNEG, empty=True),
+                   "a list of nonnegative integers")),
+}
+
+_KEYS = {
+    "system": ("dubins", _choice("dubins", "toy1d", "custom")),
+    "bits": (7, _is(lambda x: _BITS(x) or _map(_BITS)(x),
+                    "an integer in 1..24 or a mapping of names to such "
+                    "integers")),
+    "length": (DUBINS_LENGTH, _is(lambda x: _real(x) and x > 0,
+                                  "a positive number")),
+    "view": (None, _BIT_MAP),
+    "dims": (None, _entries(_DIM)),
+    "controls": (None, _entries(_CONTROL)),
+    "plan": ({}, _plan),
+    "objective": ({}, _table(_OBJECTIVE)),
+    "solver": ({}, _table(_SOLVER)),
+    "seed": (0, _is(_ANY_INT, "an integer")),
+    "cap": (None, _library),
+    "out": ("relsynth-out", _is(lambda x: isinstance(x, str) and x != "",
+                                "a directory path")),
+    "images": (True, _is(lambda x: isinstance(x, bool), "true or false")),
+    "experiment": ({}, _table(_EXPERIMENT, fill=False)),
+}
+
+DEFAULTS = _walk({}, _KEYS, "")
 
 
 def load_config(path, overrides=None):
-    """Parse, validate and default-fill a run configuration."""
+    """Parse, check and default-fill a run configuration.
+
+    `overrides` maps keys of the configuration or of its `solver` to
+    values that replace the file's; None leaves the file's value.
+    """
     if path is None:
         raw = {}
     else:
@@ -96,115 +233,23 @@ def load_config(path, overrides=None):
         except yaml.YAMLError as e:
             raise ConfigError("malformed config: %s" % e)
     _require(isinstance(raw, dict), "config root must be a mapping")
-    _check_keys(raw, DEFAULTS, "config")
-    cfg = {}
-    for key, dflt in DEFAULTS.items():
-        val = raw.get(key, dflt)
-        if isinstance(dflt, dict) and isinstance(val, dict) and key != "experiment":
-            merged = dict(dflt)
-            merged.update(val)
-            val = merged
-        cfg[key] = val
+    # a written config.yaml records the tool version, which is no setting
+    raw.pop("version", None)
     for key, val in (overrides or {}).items():
-        if val is not None:
-            if key in DEFAULTS["solver"]:
-                cfg["solver"] = dict(cfg["solver"])
-                cfg["solver"][key] = val
-            else:
-                cfg[key] = val
-    _validate(cfg)
-    return cfg
-
-
-def _check_bit_map(counts, what):
-    _require(counts is None or isinstance(counts, dict),
-             "%s must map dimension names to bit counts" % what)
-    for name, b in (counts or {}).items():
-        _require(_is_int(b) and b >= 0,
-                 "%s for %s must be a nonnegative integer" % (what, name))
-
-
-def _validate(cfg):
-    _require(cfg["system"] in ("dubins", "toy1d", "custom"),
-             "system must be dubins, toy1d or custom")
-    bits = cfg["bits"]
-    if isinstance(bits, dict):
-        for name, b in bits.items():
-            _require(_is_int(b) and 1 <= b <= 24,
-                     "bits for %s must be an integer in 1..24" % name)
-    else:
-        _require(_is_int(bits) and 1 <= bits <= 24,
-                 "bits must be an integer in 1..24")
-    plan = cfg["plan"]
-    _require(isinstance(plan, dict) and "kind" in plan,
-             "plan must be a mapping with a kind")
-    _require(plan["kind"] in _PLAN_KEYS,
-             "plan kind must be one of %s" % sorted(_PLAN_KEYS))
-    _check_keys(plan, _PLAN_KEYS[plan["kind"]], "plan")
-    _check_bit_map(plan.get("bits"), "plan bits")
-    _check_bit_map(cfg["view"], "view")
-    sizes = plan.get("sizes", _GRID_SIZES)
-    _require(isinstance(sizes, (list, tuple)) and sizes
-             and all(_is_int(x) for x in sizes),
-             "plan sizes must be a nonempty list of integers")
-    _require(_is_int(plan.get("seed", 0)),
-             "plan seed must be an integer")
-    length = cfg["length"]
-    _require(_is_number(length) and 0 < length < math.inf,
-             "length must be a positive number")
-    _require(isinstance(cfg["out"], str), "out must be a directory path")
-    obj = cfg["objective"]
-    _require(isinstance(obj, dict) and isinstance(cfg["solver"], dict),
-             "objective and solver must be mappings")
-    _check_keys(obj, DEFAULTS["objective"], "objective")
-    _require(obj.get("kind") in ("reach", "safe"),
-             "objective kind must be reach or safe")
-    _require(obj.get("encode", "inner") in ("inner", "outer"),
-             "objective encode must be inner or outer")
-    box = obj.get("box", {})
-    _require(isinstance(box, dict),
-             "objective box must map dimension names to [lo, hi]")
-    for name, iv in box.items():
-        _require(isinstance(iv, (list, tuple)) and len(iv) == 2
-                 and all(_is_number(x) and math.isfinite(x)
-                         for x in iv),
-                 "objective box for %s must be [lo, hi] with finite "
-                 "numbers" % name)
-    sol = cfg["solver"]
-    _check_keys(sol, DEFAULTS["solver"], "solver")
-    _require(_is_int(sol["max_iters"]) and sol["max_iters"] >= 0,
-             "solver max_iters must be a nonnegative integer")
-    thr = sol["coarsen_threshold"]
-    _require(thr is None or (_is_int(thr) and thr > 0),
-             "solver coarsen_threshold must be a positive integer")
-    ds = sol["downsample"]
-    if ds is not None:
-        _require(isinstance(ds, (list, tuple)) and ds,
-                 "solver downsample must be a nonempty list of levels")
-        for level in ds:
-            if isinstance(level, dict):
-                _check_bit_map(level, "downsample bits")
-            else:
-                _require(_is_int(level) and level >= 0,
-                         "downsample level must be an integer or a "
-                         "name->bits mapping")
-        _require(cfg["objective"].get("kind") == "reach",
-                 "solver downsample applies to reach objectives only")
-        _require(thr is None,
-                 "downsample and coarsen_threshold cannot be combined")
-    _require(_is_int(cfg["seed"]), "seed must be an integer")
-    _require(isinstance(cfg["images"], bool), "images must be true or false")
-    exp = cfg["experiment"]
-    _require(isinstance(exp, dict), "experiment must be a mapping")
-    counts = exp.get("counts", [])
-    _require(isinstance(counts, (list, tuple))
-             and all(_is_int(n) and n >= 0 for n in counts),
-             "experiment counts must be a list of nonnegative integers")
+        where = raw.setdefault("solver", {}) if key in _SOLVER else raw
+        # a solver that is no mapping fails the walk below
+        if val is not None and isinstance(where, dict):
+            where[key] = val
+    cfg = _walk(raw, _KEYS, "")
     if cfg["system"] == "custom":
-        _require(isinstance(cfg["dims"], list) and cfg["dims"],
-                 "custom system needs a dims list")
-        _require(isinstance(cfg["controls"] or [], list),
-                 "controls must be a list")
+        _require(cfg["dims"], "a custom system needs a dims list")
+    sol = cfg["solver"]
+    if sol["downsample"] is not None:
+        _require(cfg["objective"]["kind"] == "reach",
+                 "solver downsample applies to reach objectives only")
+        _require(sol["coarsen_threshold"] is None,
+                 "downsample and coarsen_threshold cannot be combined")
+    return cfg
 
 
 def _dim_bits(cfg, name, default=DEFAULTS["bits"]):
@@ -226,58 +271,33 @@ def build_system(cfg):
     the other systems keep the declaration order.
     """
     order = None
-    if cfg["system"] == "dubins":
-        dims = [
-            Dimension.continuous("px", -2.0, 2.0, _dim_bits(cfg, "px")),
-            Dimension.continuous("py", -2.0, 2.0, _dim_bits(cfg, "py")),
-            Dimension.continuous("theta", -math.pi, math.pi,
-                                 _dim_bits(cfg, "theta"), periodic=True),
-        ]
-        ctrl = [Dimension.discrete("v", (0.25, 0.5)),
-                Dimension.discrete("omega", (-1.5, 0.0, 1.5))]
-        comps = dubins_components(length=cfg["length"], view=cfg["view"])
-        order = ("theta", "v", "omega", "px", "py")
-    elif cfg["system"] == "toy1d":
-        dims = [Dimension.continuous("x", 0.0, 1.0, _dim_bits(cfg, "x", 3))]
-        ctrl = [Dimension.discrete("u", (0.0, 1.0))]
-        comps = [DynamicsComponent("hold", ("x",), (), "x",
-                                   lambda box: box["x"])]
-    else:
-        dims, ctrl, comps = [], [], None
-        for spec in cfg["dims"]:
-            _require(isinstance(spec, dict), "dim entries must be mappings")
-            _check_keys(spec, {"name", "lo", "hi", "bits", "periodic"},
-                        "dim")
-            lo, hi, bits = (spec.get(k) for k in ("lo", "hi", "bits"))
-            _require(isinstance(spec.get("name"), str)
-                     and _is_number(lo) and _is_number(hi)
-                     and -math.inf < lo < hi < math.inf
-                     and _is_int(bits) and 1 <= bits <= 24
-                     and isinstance(spec.get("periodic", False), bool),
-                     "bad dim entry %r: needs a name, numbers lo < hi, "
-                     "bits an integer in 1..24 and periodic true or "
-                     "false" % (spec,))
-            dims.append(Dimension.continuous(
-                spec["name"], lo, hi, bits, spec.get("periodic", False)))
-        for spec in cfg["controls"] or ():
-            _require(isinstance(spec, dict),
-                     "control entries must be mappings")
-            _check_keys(spec, {"name", "values"}, "control")
-            vals = spec.get("values")
-            _require(isinstance(spec.get("name"), str)
-                     and isinstance(vals, list) and vals
-                     and all(_is_number(v) and math.isfinite(v)
-                             for v in vals),
-                     "bad control entry %r: needs a name and a nonempty "
-                     "list of numbers as values" % (spec,))
-            try:
-                ctrl.append(Dimension.discrete(spec["name"], vals))
-            except BddError as e:
-                raise ConfigError("bad control entry %r: %s" % (spec, e))
-    for key in ("bits", "view"):
-        if isinstance(cfg[key], dict):
-            _check_keys(cfg[key], {d.name for d in dims}, key)
     try:
+        if cfg["system"] == "dubins":
+            dims = [
+                Dimension.continuous("px", -2.0, 2.0, _dim_bits(cfg, "px")),
+                Dimension.continuous("py", -2.0, 2.0, _dim_bits(cfg, "py")),
+                Dimension.continuous("theta", -math.pi, math.pi,
+                                     _dim_bits(cfg, "theta"), periodic=True),
+            ]
+            ctrl = [Dimension.discrete("v", (0.25, 0.5)),
+                    Dimension.discrete("omega", (-1.5, 0.0, 1.5))]
+            comps = dubins_components(length=cfg["length"], view=cfg["view"])
+            order = ("theta", "v", "omega", "px", "py")
+        elif cfg["system"] == "toy1d":
+            dims = [Dimension.continuous("x", 0.0, 1.0,
+                                         _dim_bits(cfg, "x", 3))]
+            ctrl = [Dimension.discrete("u", (0.0, 1.0))]
+            comps = [DynamicsComponent("hold", ("x",), (), "x",
+                                       lambda box: box["x"])]
+        else:
+            dims = [Dimension.continuous(**_walk(d, _DIM, "dims entry"))
+                    for d in cfg["dims"]]
+            ctrl = [Dimension.discrete(**_walk(c, _CONTROL, "controls entry"))
+                    for c in cfg["controls"] or ()]
+            comps = None
+        for key in ("bits", "view"):
+            if isinstance(cfg[key], dict):
+                _check_keys(cfg[key], {d.name for d in dims}, key)
         return Encoding(dims, ctrl, cap=cfg["cap"], level_order=order), comps
     except CapacityError:
         raise
@@ -286,25 +306,22 @@ def build_system(cfg):
 
 
 def build_plan(cfg):
-    plan = cfg["plan"]
+    plan = _plan(cfg["plan"], "plan", fill=True)
     if plan["kind"] == "exhaustive":
-        return Exhaustive(bits=plan.get("bits"))
+        return Exhaustive(bits=plan["bits"])
     if plan["kind"] == "random_rects":
-        count = plan.get("count", 1000)
-        _require(_is_int(count) and count >= 0,
-                 "plan count must be a nonnegative integer")
-        return RandomRects(count, seed=plan.get("seed", cfg["seed"]))
-    return ShiftedGrids(tuple(plan.get("sizes", _GRID_SIZES)))
+        seed = cfg["seed"] if plan["seed"] is None else plan["seed"]
+        return RandomRects(plan["count"], seed=seed)
+    return ShiftedGrids(tuple(plan["sizes"]))
 
 
 def build_goal(cfg, enc):
     """State predicate for the objective box (unnamed dims stay free)."""
     obj = cfg["objective"]
-    box = obj.get("box", {})
+    box = obj["box"]
     try:
         return enc.state_box({name: tuple(map(float, box[name]))
-                              for name in sorted(box)},
-                             obj.get("encode", "inner"))
+                              for name in sorted(box)}, obj["encode"])
     except CapacityError:
         raise
     except BddError as e:
@@ -317,13 +334,17 @@ def _start_output(cfg):
 
     Each command calls this once, after its work has succeeded and just
     before it writes its results, so a run that fails (exit 2 or 3)
-    leaves no output directory behind.
+    leaves no output directory behind.  A directory that cannot be
+    made is a configuration error.
     """
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.yaml"), "w") as fh:
-        yaml.safe_dump(dict(cfg, version=__version__), fh, sort_keys=True,
-                       default_flow_style=False)
+    try:
+        os.makedirs(out, exist_ok=True)
+        with open(os.path.join(out, "config.yaml"), "w") as fh:
+            yaml.safe_dump(dict(cfg, version=__version__), fh,
+                           sort_keys=True, default_flow_style=False)
+    except OSError as e:
+        raise ConfigError("cannot write output directory: %s" % e)
     return out
 
 
@@ -518,10 +539,7 @@ def cmd_solve(cfg, files=()):
 def experiment_basin_vs_samples(cfg):
     """Basin growth with random sample count, against the exhaustive
     reference (the rising curve with its upper bound)."""
-    exp = cfg["experiment"]
-    _check_keys(exp, {"counts"}, "experiment")
-    counts = exp.get("counts",
-                     [500, 1000, 2000, 4000, 8000, 16000, 32000])
+    counts = _walk(cfg["experiment"], _EXPERIMENT, "experiment")["counts"]
     enc, comps, goal = _setup(cfg, "basin_vs_samples")
     runs = [("random", n, [RandomRects(n, seed=cfg["seed"] + i)
                            for i in range(len(comps))]) for n in counts]

@@ -63,9 +63,13 @@ class Dimension:
     values: tuple = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise BddError("dimension name %r is not a string" % (self.name,))
         if not isinstance(self.bits, int) or isinstance(self.bits, bool) \
                 or self.bits < 0:
             raise BddError("bits must be a nonnegative integer")
+        if not isinstance(self.periodic, bool):
+            raise BddError("periodic must be true or false")
         if self.values is None:
             if not (_finite(self.lo) and _finite(self.hi)
                     and self.lo < self.hi):
@@ -85,11 +89,18 @@ class Dimension:
 
     @classmethod
     def continuous(cls, name, lo, hi, bits, periodic=False):
-        return cls(name, bits, float(lo), float(hi), periodic)
+        # convert only checked bounds: float() takes "1.5" and fails on "a"
+        if _finite(lo) and _finite(hi):
+            lo, hi = float(lo), float(hi)
+        return cls(name, bits, lo, hi, periodic)
 
     @classmethod
     def discrete(cls, name, values, bits=None):
-        values = tuple(values)
+        try:
+            values = tuple(values)
+        except TypeError:
+            raise BddError("discrete values %r are not a sequence"
+                           % (values,))
         if bits is None:
             bits = max(1, math.ceil(math.log2(len(values)))) if len(values) > 1 else 0
         return cls(name, bits, values=values)

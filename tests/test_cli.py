@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 
 import pytest
 import yaml
@@ -333,6 +334,85 @@ def test_config_errors_exit_2(tmp_path):
     good = write_config(tmp_path / "ok.yaml", out=str(tmp_path / "r"))
     assert main(["solve", "--config", good,
                  str(tmp_path / "nofile.txt")]) == 2
+
+
+@pytest.mark.parametrize("make_out", [
+    lambda tmp: "",
+    lambda tmp: (tmp / "file").write_text("x") and str(tmp / "file"),
+    lambda tmp: (tmp / "file").write_text("x") and str(tmp / "file" / "run"),
+], ids=["empty", "regular-file", "under-a-file"])
+def test_unusable_out_exits_2(tmp_path, capsys, make_out):
+    """An output directory that cannot be made is a configuration error,
+    and the run creates nothing."""
+    out = make_out(tmp_path)
+    cfg = write_config(tmp_path / "c.yaml", system="toy1d",
+                       objective={"kind": "reach", "box": {"x": [0, 0.5]}})
+    before = sorted(os.listdir(tmp_path))
+    assert main(["solve", "--config", cfg, "--out", out]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+    if os.path.isfile(tmp_path / "file"):
+        assert (tmp_path / "file").read_text() == "x"
+
+
+def test_run_repeats_from_its_own_config(tmp_path):
+    """Each output's `config.yaml`, which records the tool version,
+    repeats its run with the same interfaces and basin."""
+    cfg = write_config(tmp_path / "c.yaml",
+                       plan={"kind": "random_rects", "count": 40},
+                       out=str(tmp_path / "abs"))
+    assert main(["abstract", "--config", cfg]) == 0
+    files = [str(tmp_path / "abs" / ("interface_%s.txt" % n))
+             for n in ("px", "py", "theta")]
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]
+                + files) == 0
+    assert main(["abstract", "--config", str(tmp_path / "abs" / "config.yaml"),
+                 "--out", str(tmp_path / "abs2")]) == 0
+    assert interface_bodies(tmp_path / "abs2") \
+        == interface_bodies(tmp_path / "abs")
+    assert main(["solve", "--config", str(tmp_path / "run" / "config.yaml"),
+                 "--out", str(tmp_path / "run2")] + files) == 0
+    assert (tmp_path / "run2" / "winning_cells.csv").read_text() \
+        == (tmp_path / "run" / "winning_cells.csv").read_text()
+
+
+@pytest.mark.parametrize("count", ["x", -5])
+def test_plan_count_is_checked_without_a_build(tmp_path, count):
+    """`solve` from interface files builds no plan, and still rejects a
+    bad plan count before it writes anything."""
+    cfg = write_config(tmp_path / "c.yaml", out=str(tmp_path / "abs"))
+    assert main(["abstract", "--config", cfg]) == 0
+    files = [str(tmp_path / "abs" / ("interface_%s.txt" % n))
+             for n in ("px", "py", "theta")]
+    bad = write_config(tmp_path / "b.yaml", out=str(tmp_path / "run"),
+                       plan={"kind": "random_rects", "count": count})
+    assert main(["solve", "--config", bad] + files) == 2
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("extra", [
+    {"length": 10 ** 400},
+    {"objective": {"kind": "reach", "box": {"px": [0, 10 ** 400]}}},
+], ids=["length", "objective-box"])
+def test_numbers_beyond_float_range_exit_2(tmp_path, extra):
+    """A YAML integer too large for a float is no finite number."""
+    cfg = write_config(tmp_path / "c.yaml", out=str(tmp_path / "run"),
+                       **extra)
+    assert main(["solve", "--config", cfg]) == 2
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_readme_documents_every_config_key():
+    """The top-level bullets of the README's configuration reference
+    name exactly the configuration's keys."""
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Configuration reference")[1]
+    section = section.split("\n## ")[0]
+    keys = set()
+    for bullet in re.findall(r"^- (`\w+`(?: / `\w+`)*)", section, re.M):
+        keys.update(re.findall(r"`(\w+)`", bullet))
+    assert keys == set(cli.DEFAULTS)
 
 
 @pytest.mark.parametrize("command, extra", [

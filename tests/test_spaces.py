@@ -77,6 +77,20 @@ def test_dimension_validation():
                    [True, 2.0]):
         with pytest.raises(BddError):
             Dimension.discrete("u", values)
+    # bounds are checked before float() converts them
+    for lo in ("a", "1.5", None):
+        with pytest.raises(BddError):
+            Dimension.continuous("x", lo, 2, 3)
+    for bad in (lambda: Dimension.discrete("u", 5),
+                lambda: Dimension.discrete("u", None),
+                lambda: Dimension(5, 3, 0.0, 1.0),
+                lambda: Dimension.continuous(None, 0, 1, 3),
+                lambda: Dimension.continuous("x", 0, 1, 3, periodic="no"),
+                lambda: Dimension.continuous("x", 0, 1, 3, periodic=1)):
+        with pytest.raises(BddError):
+            bad()
+    d = Dimension.continuous("x", 0, 1, 3)
+    assert (d.lo, d.hi) == (0.0, 1.0) and isinstance(d.lo, float)
     d = Dimension.discrete("u", [7.0])
     assert d.bits == 0 and d.cells == 1
 
