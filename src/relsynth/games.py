@@ -82,9 +82,12 @@ class Game:
             if not f.inputs <= state_and_control:
                 raise BddError(
                     "component inputs must be state or control bits")
-        if covered != set(enc.all_next_vars):
-            raise BddError("component outputs must cover every "
-                           "next-state bit")
+        nexts = set(enc.all_next_vars)
+        if covered != nexts:
+            raise BddError("component outputs must cover every next-state "
+                           "bit and no other: missing %s, extra %s"
+                           % (sorted(nexts - covered),
+                              sorted(covered - nexts)))
         m._check(goal)
         if not m.support(goal) <= set(enc.all_state_vars):
             raise BddError("goal must be a current-state predicate")

@@ -31,18 +31,13 @@ from relsynth.bdd import BDD, BddError
 from relsynth.interfaces import Interface
 
 
-def _ifloor(t, eps=1e-9):
+def _snap(t, rounding, eps=1e-9):
+    """`t` rounded by `rounding` (`math.floor` or `math.ceil`), or the
+    whole number within a relative `eps` of it."""
     r = round(t)
     if abs(t - r) <= eps * max(1.0, abs(t)):
         return int(r)
-    return math.floor(t)
-
-
-def _iceil(t, eps=1e-9):
-    r = round(t)
-    if abs(t - r) <= eps * max(1.0, abs(t)):
-        return int(r)
-    return math.ceil(t)
+    return rounding(t)
 
 
 def _finite(x):
@@ -221,12 +216,12 @@ def cell_range(dim, interval, side):
         b = a + width
     ta, tb = (a - dim.lo) / w, (b - dim.lo) / w
     if side == "inner":
-        i, j = _iceil(ta), _ifloor(tb) - 1
+        i, j = _snap(ta, math.ceil), _snap(tb, math.floor) - 1
     elif side == "outer":
-        i, j = _ifloor(ta), _ifloor(tb)
+        i, j = _snap(ta, math.floor), _snap(tb, math.floor)
     elif side == "half_open":
-        i = _ifloor(ta)
-        j = max(_iceil(tb) - 1, i)
+        i = _snap(ta, math.floor)
+        j = max(_snap(tb, math.ceil) - 1, i)
     else:
         raise BddError("side must be inner, outer or half_open")
     if not dim.periodic:

@@ -472,6 +472,87 @@ def test_bits_mismatch_between_files_and_config(tmp_path):
     assert main(["solve", "--config", cfg4] + paths) == 2
 
 
+def test_files_fit_a_config_with_the_same_grid(tmp_path):
+    """A file fits when its variables do: files built at `bits: 3`
+    solve under the same grid written as a map, as a fresh build does."""
+    cfg = write_config(tmp_path / "c.yaml", out=str(tmp_path / "abs"))
+    assert main(["abstract", "--config", cfg]) == 0
+    paths = [str(tmp_path / "abs" / ("interface_%s.txt" % n))
+             for n in ("px", "py", "theta")]
+    as_map = write_config(tmp_path / "m.yaml",
+                          bits={"px": 3, "py": 3, "theta": 3},
+                          out=str(tmp_path / "files"))
+    assert main(["solve", "--config", as_map] + paths) == 0
+    assert main(["solve", "--config", cfg, "--out",
+                 str(tmp_path / "built")]) == 0
+    assert (tmp_path / "files" / "winning_cells.csv").read_text() == \
+        (tmp_path / "built" / "winning_cells.csv").read_text()
+
+
+@pytest.mark.parametrize("built, solved, message", [
+    (3, 4, "missing ['px+_3', 'py+_3', 'theta+_3'], extra []"),
+    (4, 3, "unknown variable: 'theta_3'"),
+], ids=["coarser-file", "finer-file"])
+def test_files_of_another_grid_name_the_bits(tmp_path, capsys, built,
+                                             solved, message):
+    """A coarser file leaves next-state bits uncovered and the game
+    names them; a finer one names a variable the system lacks."""
+    cfg = write_config(tmp_path / "c.yaml", bits=built,
+                       out=str(tmp_path / "abs"))
+    assert main(["abstract", "--config", cfg]) == 0
+    paths = [str(tmp_path / "abs" / ("interface_%s.txt" % n))
+             for n in ("px", "py", "theta")]
+    cfg = write_config(tmp_path / "s.yaml", bits=solved,
+                       out=str(tmp_path / "run"))
+    capsys.readouterr()
+    assert main(["solve", "--config", cfg] + paths) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
+def _replace(k, line):
+    def edit(lines):
+        lines = list(lines)
+        lines[k] = line
+        return lines
+    return edit
+
+
+# each edit of a 3-bit toy1d interface file, whose lines are the header
+# `interface`, `inputs:`, `outputs:`, `meta:` and `vars:`, then the
+# nodes from id 2, then `root`
+@pytest.mark.parametrize("edit, message", [
+    (_replace(5, "2 x+_2 1"), "malformed node line: '2 x+_2 1'"),
+    (_replace(5, "two x+_2 1 0"), "malformed node line: 'two x+_2 1 0'"),
+    (lambda lines: lines[:6] + lines[5:], "duplicate node id 2"),
+    (_replace(-1, "root x"), "malformed root line: 'root x'"),
+    (_replace(-1, "root 999"), "root id 999 is undefined"),
+    (lambda lines: lines[:1] + ["colour: blue"] + lines[1:],
+     "unexpected line in interface stream: 'colour: blue'"),
+    (_replace(3, "meta: {"), "malformed meta line"),
+], ids=["node-three-fields", "node-not-numeric", "node-duplicate-id",
+        "root-not-numeric", "root-undefined", "header-unexpected",
+        "meta-not-json"])
+def test_malformed_interface_file_exits_2(tmp_path, capsys, edit, message):
+    toy = {"system": "toy1d",
+           "objective": {"kind": "reach", "box": {"x": [0.25, 0.5]},
+                         "encode": "inner"}}
+    cfg = write_config(tmp_path / "c.yaml", out=str(tmp_path / "abs"), **toy)
+    assert main(["abstract", "--config", cfg]) == 0
+    lines = (tmp_path / "abs" / "interface_hold.txt").read_text().splitlines()
+    assert [ln.split(":")[0] for ln in lines[:5]] == [
+        "interface", "inputs", "outputs", "meta", "vars"]
+    assert lines[5].split()[0] == "2" and lines[-1].startswith("root ")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(edit(lines)) + "\n")
+    capsys.readouterr()
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run"),
+                 str(bad)]) == 2
+    assert "config error: %s: %s" % (bad, message) \
+        in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_interface_file_whose_meta_is_no_object_exits_2(tmp_path):
     cfg = write_config(tmp_path / "c.yaml", out=str(tmp_path / "abs"))
     assert main(["abstract", "--config", cfg]) == 0
@@ -712,6 +793,59 @@ def test_objective_box_validation(tmp_path):
                                   "encode": "inner"},
                        out=str(tmp_path / "r"))
     assert main(["solve", "--config", cfg]) == 2
+
+
+CUSTOM = {
+    "system": "custom",
+    "dims": [{"name": "x", "lo": 0.0, "hi": 1.0, "bits": 3}],
+    "controls": [{"name": "u", "values": [0.0, 1.0]}],
+    "objective": {"kind": "safe", "box": {"x": [0.0, 0.5]},
+                  "encode": "outer"},
+}
+
+
+@pytest.mark.parametrize("command, message", [
+    (["abstract"], "custom systems have no evaluator"),
+    (["experiment", "greedy_cap"], "greedy_cap needs a built-in system"),
+    (["solve"], "solve without interface files needs a built-in system"),
+], ids=["abstract", "experiment", "solve"])
+def test_custom_system_cannot_sample_its_dynamics(tmp_path, capsys, command,
+                                                 message):
+    """A system without an evaluator has nothing to sample: every
+    command that would build its interfaces exits 2 and writes nothing."""
+    cfg = write_config(tmp_path / "c.yaml", out=str(tmp_path / "out"),
+                       **CUSTOM)
+    capsys.readouterr()
+    assert main(command + ["--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.yaml"]
+
+
+def test_component_abstracted_to_bottom_warns(tmp_path, capsys):
+    """With no samples every component is bottom: `abstract` warns once
+    per component and still writes the files."""
+    cfg = write_config(tmp_path / "c.yaml",
+                       plan={"kind": "random_rects", "count": 0},
+                       out=str(tmp_path / "abs"))
+    capsys.readouterr()
+    assert main(["abstract", "--config", cfg]) == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines()
+                if ln.startswith("warning:")]
+    assert warnings == ["warning: component %s abstracted to bottom "
+                        "(no samples accepted)" % name
+                        for name in ("px", "py", "theta")]
+    for name in ("px", "py", "theta"):
+        text = (tmp_path / "abs" / ("interface_%s.txt" % name)).read_text()
+        assert text.splitlines()[-1] == "root 0"
+
+
+@pytest.mark.parametrize("extra", [{}, {"bits": {}}],
+                         ids=["no-bits", "empty-map"])
+def test_toy1d_takes_the_table_default_bits(tmp_path, extra):
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(dict(system="toy1d", **extra)))
+    enc, _ = build_system(load_config(str(path)))
+    assert enc.dims["x"].bits == cli.DEFAULTS["bits"]
 
 
 def test_custom_system_solves_from_files(tmp_path):

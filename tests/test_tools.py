@@ -2,10 +2,13 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+
+from relsynth import __version__
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOLS = os.path.join(ROOT, "tools")
@@ -64,3 +67,11 @@ def test_child_stats_runs_and_compares(tmp_path, trees, config, code):
     assert proc.returncode == code, proc.stdout + proc.stderr
     if code == 0:
         assert proc.stdout.splitlines()[-1] == "outputs: identical"
+
+
+def test_package_version_matches_pyproject():
+    """Every output records `__version__`, so it must be the version the
+    package is installed as.  A regex, since `tomllib` needs 3.11."""
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        found = re.findall(r'^version\s*=\s*"([^"]*)"', fh.read(), re.M)
+    assert found == [__version__]
