@@ -64,6 +64,33 @@ by one of two rules:
   the first covering box's arc that no covering box excludes, as an
   `or` of code ranges.  An empty intersection blocks the cell.
 
+Under rule 1, a component that declares an `increment` `g`, with
+`evaluator(box) == box[output] + g(box)`, can skip the per-cell leaves
+of its output's own axis.  That needs a plain continuous output that is
+also the lowest input axis, one plan value per view cell of it, and its
+current and next bits interleaved at the same view (the vehicle's `px`
+and `py` in its own order; its periodic `theta`, and the positions in
+the declaration order, keep the cell table).  The join then stops above
+that axis, and each leaf evaluates `g` once on the upper axes' values.
+With `w` the cell width and `e = g / w`, cell `i` goes to cells
+`i + k_lo .. i + k_hi`, where `k_lo` is `e_lo` snapped down and `k_hi`
+is `e_hi` snapped up (at least `k_lo`), and the unblocked cells form one
+run `i0 .. i1`.  The leaf is `i0 <= x <= i1 and k_lo <= x+ - x <= k_hi`,
+built by one memoized carry recursion over the interleaved bits (as
+Bartzis and Bultan build linear constraints).  It is handle-equal to the
+cell table by construction, guarded in two places:
+
+- the per-cell snap tolerance is relative to `|i + e|`, so a key keeps
+  the per-cell leaves unless each `e` is within 1e-12 of a whole number
+  or farther than `1e-9 * (cells + |e| + 2)` from every one;
+- the per-cell domain check is an exact float compare.  The closed
+  forms `i0 = ceil(-e_lo)` and `i1 = floor(cells - 1 - e_hi)` are only
+  a first guess: each end of the run is monotone in the cell, so the
+  evaluator and that check on the cells next to each guess settle it.
+
+An increment that is NaN or inverted raises `BddError`, and one with a
+non-finite end blocks every cell, as the per-cell domain check would.
+
 A plan is streamed.  Its blocks are drawn one at a time, and the rule is
 chosen after at most two of them, since rule 1 needs exactly one.  Every
 later block is mapped to cells, evaluated and folded into the accepted
@@ -87,13 +114,17 @@ the modeled region.
 """
 
 import itertools
+import logging
 import math
 import random
 from dataclasses import dataclass
 
 from relsynth.bdd import BddError
 from relsynth.interfaces import Interface
-from relsynth.spaces import Dimension, cell_range, code_range, encode_set
+from relsynth.spaces import (Dimension, _snap, cell_range, code_range,
+                             encode_set)
+
+log = logging.getLogger(__name__)
 
 DUBINS_LENGTH = 1.4
 
@@ -159,6 +190,12 @@ class DynamicsComponent:
     periodic output.  `view` optionally lowers the bit precision used
     for named dimensions; kept bits are the most significant ones and
     default to full precision.
+
+    `increment` optionally declares the map a translation of its own
+    output: an interval `g(box)` with `evaluator(box) == iadd(box[output],
+    g(box))`, that does not read `box[output]`.  The cell table may then
+    build the output's own axis as a shift relation (see the module
+    notes); `evaluator` stays the reference for every other use.
     """
 
     name: str
@@ -167,6 +204,7 @@ class DynamicsComponent:
     output: str
     evaluator: object
     view: dict = None
+    increment: object = None
 
     def input_names(self):
         return tuple(self.state_inputs) + tuple(self.control_inputs)
@@ -180,19 +218,20 @@ class DynamicsComponent:
 
 def _dubins_px(box, length):
     v = box["v"]
-    return iadd(box["px"], imul((v, v), icos(*box["theta"])))
+    return imul((v, v), icos(*box["theta"]))
 
 
 def _dubins_py(box, length):
     v = box["v"]
-    return iadd(box["py"], imul((v, v), isin(*box["theta"])))
+    return imul((v, v), isin(*box["theta"]))
 
 
 def _dubins_theta(box, length):
     v = box["v"] / length
-    return iadd(box["theta"], imul((v, v), isin(box["omega"], box["omega"])))
+    return imul((v, v), isin(box["omega"], box["omega"]))
 
 
+# each component's increment, state inputs and control inputs
 _DUBINS = {
     "px": (_dubins_px, ("px", "theta"), ("v",)),
     "py": (_dubins_py, ("py", "theta"), ("v",)),
@@ -201,12 +240,16 @@ _DUBINS = {
 
 
 def dubins_components(length=DUBINS_LENGTH, view=None):
-    """The three planar-vehicle blocks: position pair and heading."""
+    """The three planar-vehicle blocks: position pair and heading.  Each
+    is its own state plus an increment, and its evaluator is derived
+    from that increment."""
     out = []
     for name, (fn, sin, cin) in _DUBINS.items():
+        inc = (lambda b, _fn=fn: _fn(b, length))
         out.append(DynamicsComponent(
             name, sin, cin, name,
-            (lambda b, _fn=fn: _fn(b, length)), view))
+            (lambda b, _name=name, _inc=inc: iadd(b[_name], _inc(b))),
+            view, inc))
     return out
 
 
@@ -410,6 +453,101 @@ def _segments(m, axis, covers, memo):
     return [(_cells_pred(m, axis, r, memo), cov) for r, cov in runs if cov]
 
 
+def _shift_pred(m, levels, k, xs, ds, memo):
+    """Predicate `x in xs and y - x in ds` over codes `x` and `y` whose
+    msb-first bits interleave as `levels`, one `(x level, y level)` pair
+    per bit, read from bit `k` on: one carry recursion that splits both
+    codes on their top bit and clips both ranges to what the remaining
+    bits can reach, so `memo`, keyed on the clipped state, shares it."""
+    size = 1 << (len(levels) - k)
+    xl, xh = max(xs[0], 0), min(xs[1], size - 1)
+    dl, dh = max(ds[0], 1 - size), min(ds[1], size - 1)
+    if xl > xh or dl > dh:
+        return m.false
+    if xl == 0 and xh == size - 1 and dl == 1 - size and dh == size - 1:
+        return m.true
+    key = (k, xl, xh, dl, dh)
+    f = memo.get(key)
+    if f is None:
+        half = size >> 1
+        lx, ly = levels[k]
+        f = m._node(lx, *(m._node(ly, *(
+            _shift_pred(m, levels, k + 1, (xl - bx * half, xh - bx * half),
+                        (dl - (by - bx) * half, dh - (by - bx) * half), memo)
+            for by in (0, 1))) for bx in (0, 1)))
+        memo[key] = f
+    return f
+
+
+def _shift_leaf(comp, enc, axes, block, out_vars, per_cell, fell_back):
+    """The rule-1 leaf that builds the output's own axis, the lowest
+    one, as a shift relation, or None where the module notes say it does
+    not apply.  `block` holds each axis's `[(cell range, value)]`,
+    `per_cell(xs)` is the per-cell join of the lowest axis under the
+    upper axes' values `xs`, and `fell_back` gets one entry per key that
+    takes `per_cell` instead."""
+    if comp.increment is None or not axes or axes[-1][0] != comp.output:
+        return None
+    m = enc.m
+    name, d, ivd, in_vars = axes[-1]
+    cells = ivd.cells
+    if (d.is_discrete or d.periodic or len(in_vars) != len(out_vars)
+            or [r for r, _ in block[-1]] != [(i, i) for i in range(cells)]):
+        return None
+    levels = [(m.level_of(x), m.level_of(y))
+              for x, y in zip(in_vars, out_vars)]
+    flat = [lv for pair in levels for lv in pair]
+    if any(a >= b for a, b in zip(flat, flat[1:])):
+        return None
+    values = [x for _, x in block[-1]]
+    w, memo = ivd.width, {}
+
+    def exact(e):
+        # does snapping `i + e` for every cell `i` agree with `i` plus
+        # the snap of `e`?  The snap tolerance grows with `|i + e|`.
+        if not math.isfinite(e):
+            return False
+        gap = abs(e - round(e))
+        return gap <= 1e-12 or gap > 1e-9 * (cells + abs(e) + 2)
+
+    def leaf(xs):
+        box = {axis[0]: x for axis, x in zip(axes, xs)}
+        g_lo, g_hi = _as_interval(comp.increment(box))
+        if not (math.isfinite(g_lo) and math.isfinite(g_hi)):
+            return m.false
+        e_lo, e_hi = g_lo / w, g_hi / w
+        if not (exact(e_lo) and exact(e_hi)):
+            fell_back.append(xs)
+            return per_cell(xs)
+        k_lo = _snap(e_lo, math.floor)
+        k_hi = max(_snap(e_hi, math.ceil), k_lo)
+        seen = {}
+
+        def inside(i):
+            """(lower end in the domain, upper end in the domain) of the
+            evaluator on cell `i`, as the per-cell rule checks them."""
+            if i not in seen:
+                box[name] = values[i]
+                a, b = _as_interval(comp.evaluator(box))
+                seen[i] = (a >= d.lo, b <= d.hi)
+            return seen[i]
+        # the closed forms give the run of cells whose successors stay in
+        # the domain; each end is monotone in the cell, so the cells
+        # next to the closed forms' ends settle them
+        i0 = min(max(0, math.ceil(-e_lo)), cells)
+        i1 = max(min(cells - 1, math.floor(cells - 1 - e_hi)), -1)
+        while i0 > 0 and inside(i0 - 1)[0]:
+            i0 -= 1
+        while i0 < cells and not inside(i0)[0]:
+            i0 += 1
+        while i1 < cells - 1 and inside(i1 + 1)[1]:
+            i1 += 1
+        while i1 >= 0 and not inside(i1)[1]:
+            i1 -= 1
+        return _shift_pred(m, levels, 0, (i0, i1), (k_lo, k_hi), memo)
+    return leaf
+
+
 def _cell_table(comp, blocks, enc):
     """The closed form of the module notes over the boxes of `blocks`,
     an iterable of maps from every input of `comp` to a list of values
@@ -451,10 +589,20 @@ def _cell_table(comp, blocks, enc):
             rng = successors(xs)
             return m.false if rng is False else _range_pred(
                 m, vd, rng, out_vars, memo)
-        return _join(m, [[(_cells_pred(m, axis, r, memo), x)
-                          for r, x in vals]
-                         for axis, vals in zip(axes, head[0])],
-                     lambda xs, x: xs + (x,), leaf, ())
+
+        def step(xs, x):
+            return xs + (x,)
+        table = [[(_cells_pred(m, axis, r, memo), x) for r, x in vals]
+                 for axis, vals in zip(axes, head[0])]
+        fell_back = []
+        shift = _shift_leaf(
+            comp, enc, axes, head[0], out_vars,
+            lambda xs: _join(m, table[-1:], step, leaf, xs), fell_back)
+        if shift is None:
+            return _join(m, table, step, leaf, ()), "cell table, rule 1"
+        f = _join(m, table[:-1], step, shift, ())
+        return f, "shift path, %d of %d keys fell back" % (
+            len(fell_back), math.prod(len(t) for t in table[:-1]))
     boxes = []  # accepted: (input cell ranges, successor cell range)
     for block in itertools.chain(head, values):
         for combo in itertools.product(*block):
@@ -462,14 +610,14 @@ def _cell_table(comp, blocks, enc):
             if rng is not False:
                 boxes.append((tuple(r for r, _ in combo), rng))
     if not boxes:
-        return m.false
+        return m.false, "cell table, rule 2"
     order, leaf = (_arc_leaf if d.periodic else _range_leaf)(
         m, vd, out_vars, boxes, memo)
     table = [_segments(m, axis, _cover([boxes[i][0][k] for i in order],
                                        axis[2].cells), memo)
              for k, axis in enumerate(axes)]
     return _join(m, table, lambda mask, cov: mask & cov or None, leaf,
-                 (1 << len(order)) - 1)
+                 (1 << len(order)) - 1), "cell table, rule 2"
 
 
 def sample_to_interface(comp, box, enc):
@@ -483,7 +631,7 @@ def sample_to_interface(comp, box, enc):
     """
     ins, outs = _signature(comp, enc)
     return Interface(enc.m, ins, outs, _cell_table(
-        comp, [{name: [x] for name, x in box.items()}], enc))
+        comp, [{name: [x] for name, x in box.items()}], enc)[0])
 
 
 # -- traversal plans -------------------------------------------------------
@@ -590,12 +738,15 @@ def traverse(comp, plan, enc):
     boxes are folded into one cell table per input, and one recursion
     over the inputs in level order joins the cells with their
     successors (see the module notes): directly from the one box of
-    each cell when the plan is a single block of disjoint values, else
-    from the bitsets of the boxes that cover each cell.  The plan is
-    streamed: the rule is chosen after at most two blocks, every later
-    block is mapped and evaluated as it is drawn, and the plan is
-    validated as it is drawn too.
+    each cell when the plan is a single block of disjoint values (with
+    the output's own axis as one shift relation per key where the
+    component declares an increment), else from the bitsets of the
+    boxes that cover each cell.  The plan is streamed: the rule is
+    chosen after at most two blocks, every later block is mapped and
+    evaluated as it is drawn, and the plan is validated as it is drawn
+    too.  The path taken is logged at debug level.
     """
     ins, outs = _signature(comp, enc)
-    return Interface(enc.m, ins, outs,
-                     _cell_table(comp, _plan_blocks(comp, plan, enc), enc))
+    pred, path = _cell_table(comp, _plan_blocks(comp, plan, enc), enc)
+    log.debug("traverse %s: %s", comp.name, path)
+    return Interface(enc.m, ins, outs, pred)

@@ -16,6 +16,7 @@ only after its work has succeeded, so a failed run leaves none behind.
 """
 
 import argparse
+import logging
 import math
 import os
 import sys
@@ -362,9 +363,9 @@ def cmd_abstract(cfg):
     built = []
     # keep the interfaces built so far and free the rest after each
     # component, not once after all of them as `_build` does: one sweep
-    # raised this command's own peak from 34 to 39 MB (6-bit
-    # random_rects 8000) and from 33 to 46 MB (7-bit exhaustive), while
-    # a sweep per component cost the solving commands 7-9% CPU
+    # raised this command's own peak from 34.5 to 39.2 MB (6-bit
+    # random_rects 8000) and from 19.7 to 20.8 MB (7-bit exhaustive),
+    # while a sweep per component cost the solving commands 7-9% CPU
     for c in comps:
         t0 = time.perf_counter()
         f = traverse(c, plan, enc)
@@ -665,6 +666,10 @@ def _parser():
     common.add_argument("--out", metavar="DIR",
                         help="output directory (default from config)")
     common.add_argument("--seed", type=int, metavar="N")
+    common.add_argument("--log-level", default="warning",
+                        choices=("debug", "info", "warning", "error"),
+                        help="log lines shown on stderr (default: warning; "
+                             "debug shows each build and iteration)")
 
     pa = sub.add_parser("abstract", parents=[common],
                         help="sample dynamics into interface files")
@@ -684,6 +689,9 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    logging.basicConfig(stream=sys.stderr,
+                        format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("relsynth").setLevel(args.log_level.upper())
     overrides = {"out": args.out, "seed": args.seed,
                  "max_iters": getattr(args, "max_iters", None),
                  "coarsen_threshold": getattr(args, "coarsen_threshold",

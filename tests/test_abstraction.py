@@ -1,6 +1,8 @@
 """Abstraction sampler checks against dense numeric oracles."""
 
+import dataclasses
 import itertools
+import logging
 import math
 import random
 
@@ -469,6 +471,82 @@ def test_traverse_equals_refine_fold_at_four_bits():
                     folded, _ = oracle_fold(comp, plan, enc)
                     assert traverse(comp, plan, enc).pred == folded.pred, (
                         comp.name, plan, view, level_order)
+
+
+VEHICLE_ORDER = ("theta", "v", "omega", "px", "py")
+
+
+def without_increment(comp):
+    """`comp` built by its evaluator alone: the per-cell rule."""
+    return dataclasses.replace(comp, increment=None)
+
+
+@pytest.mark.parametrize("bits", [3, 4, 5, 6, 7])
+def test_shift_path_equals_the_cell_table(bits):
+    """The shift relation is handle-equal to the per-cell table: in both
+    variable orders (the declaration order puts px and py above theta,
+    so they fall back), with coarser views of the positions, and with
+    plan bits coarser than the view (one value per two cells, so they
+    fall back)."""
+    for level_order in (None, VEHICLE_ORDER):
+        enc = dubins_encoding(bits, level_order=level_order)
+        for view in (None, {"px": 2}, {"px": 3, "py": 3}):
+            for comp in dubins_components(view=view):
+                plans = [Exhaustive()]
+                if view is None:
+                    plans.append(Exhaustive(bits={"px": bits - 1,
+                                                  "py": bits - 1}))
+                for plan in plans:
+                    got = traverse(comp, plan, enc).pred
+                    want = traverse(without_increment(comp), plan, enc).pred
+                    assert got == want, (comp.name, plan, view, level_order)
+
+
+def test_shift_path_falls_back_in_the_snap_gray_band(caplog):
+    """An offset `g / w` that lies within the per-cell snap tolerance of
+    a whole number for some cells but not for others is no shift: the
+    key of `u = 1` (offset 3 + 5e-8 cells) takes the per-cell rule and
+    the key of `u = 0` (offset 0) the shift relation, and both match the
+    cell table."""
+    enc = Encoding([Dimension.continuous("x", 0.0, 1.0, 7)],
+                   [Dimension.discrete("u", (0.0, 1.0))],
+                   level_order=("u", "x"))
+    w = enc.dims["x"].width
+
+    def increment(box):
+        g = box["u"] * (3 + 5e-8) * w
+        return g, g
+    comp = DynamicsComponent("drift", ("x",), ("u",), "x",
+                             lambda box: iadd(box["x"], increment(box)),
+                             increment=increment)
+    with caplog.at_level(logging.DEBUG, logger="relsynth.abstraction"):
+        got = traverse(comp, Exhaustive(), enc).pred
+    assert got == traverse(without_increment(comp), Exhaustive(), enc).pred
+    assert "traverse drift: shift path, 1 of 2 keys fell back" \
+        in caplog.messages
+
+
+def test_vehicle_positions_take_the_shift_path():
+    """In the vehicle order px and py call their evaluator only on the
+    cells that settle the ends of the unblocked run, at most 4 per
+    (theta cell, v) key; in the declaration order they fall back and
+    call it once per cell."""
+    enc = dubins_encoding(5, level_order=VEHICLE_ORDER)
+    plain = dubins_encoding(5)
+    keys, cells = 32 * 2, 32
+    for comp in dubins_components()[:2]:
+        for e, most in ((enc, 4 * keys), (plain, cells * keys)):
+            calls = []
+
+            def counted(box, _evaluator=comp.evaluator):
+                calls.append(1)
+                return _evaluator(box)
+            traverse(dataclasses.replace(comp, evaluator=counted),
+                     Exhaustive(), e)
+            if e is enc:
+                assert 0 < len(calls) <= most, comp.name
+            else:
+                assert len(calls) == most, comp.name
 
 
 def test_traverse_streams_the_plan(monkeypatch):

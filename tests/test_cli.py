@@ -3,6 +3,8 @@
 import hashlib
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -208,6 +210,47 @@ def test_vehicle_interfaces_match_recorded_digests(tmp_path, label, extra):
         cli.traverse(c, plan, enc).pred).encode()).hexdigest()
         for c in comps)
     assert got == VEHICLE_DIGESTS[label]
+
+
+def test_five_bit_run_pins_its_counts(tmp_path, capsys):
+    """`abstract`, then `solve` of its files, at 5 bits: the interface
+    sizes, the basin and the iterations are deterministic, so a change
+    that moves them shows here even where the timings hide it."""
+    cfg = write_config(tmp_path / "c.yaml", bits=5, images=False,
+                       out=str(tmp_path / "run"))
+    assert main(["abstract", "--config", cfg]) == 0
+    files = [str(tmp_path / "run" / ("interface_%s.txt" % c))
+             for c in ("px", "py", "theta")]
+    assert main(["solve", "--config", cfg] + files) == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"interface_(\w+)\.txt \((\d+) nodes", out) == [
+        ("px", "285"), ("py", "285"), ("theta", "41")]
+    assert ("reach: basin 6080 states (goal 2048), 9 iterations, "
+            "stop=fixed_point") in out
+
+
+def test_log_level_debug_shows_the_iterations(tmp_path):
+    """`--log-level debug` writes the solver's iteration lines to stderr
+    and leaves stdout as it is; without the flag stderr has none."""
+    cfg = write_config(tmp_path / "c.yaml", system="toy1d",
+                       objective={"kind": "reach",
+                                  "box": {"x": [0.25, 0.5]},
+                                  "encode": "inner"},
+                       out=str(tmp_path / "run"))
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*flags):
+        return subprocess.run(
+            [sys.executable, "-m", "relsynth.cli", "solve", "--config", cfg]
+            + list(flags), capture_output=True, text=True, env=env,
+            timeout=120)
+    quiet, loud = run(), run("--log-level", "debug")
+    assert quiet.returncode == loud.returncode == 0, loud.stderr
+    assert loud.stdout == quiet.stdout
+    assert "iter 1:" in loud.stderr
+    assert "iter 1:" not in quiet.stderr
 
 
 def test_level_order_keeps_cells_and_slices(tmp_path, monkeypatch):
