@@ -156,8 +156,9 @@ _PLANS = {
     # a plan seed of None is the run's seed
     "random_rects": {"count": (1000, _is(_NONNEG, "a nonnegative integer")),
                      "seed": (None, _is(_opt(_ANY_INT), "an integer"))},
-    "shifted_grids": {"sizes": ([4, 5], _is(_list(_ANY_INT),
-                                            "a nonempty list of integers"))},
+    "shifted_grids": {"sizes": ([4, 5], _is(_list(_int(1)),
+                                            "a nonempty list of positive "
+                                            "integers"))},
 }
 
 _OBJECTIVE = {
@@ -265,7 +266,9 @@ def build_system(cfg):
 
     Custom systems carry no evaluators; their abstractions must come
     from saved interface files, so the component list is None.  A
-    `bits` or `view` map may name only state dimensions of the system.
+    `bits` or `view` map may name only state dimensions of the system,
+    and exhaustive plan bits only its dimensions and controls, at most
+    a dimension's own bits.
 
     The vehicle's heading feeds all three components, so its block and
     the controls sit above the position blocks in the variable order;
@@ -298,6 +301,11 @@ def build_system(cfg):
         for key in ("bits", "view"):
             if isinstance(cfg[key], dict):
                 _check_keys(cfg[key], {d.name for d in dims}, key)
+        plan_bits = cfg["plan"].get("bits") or {}
+        _check_keys(plan_bits, {d.name for d in dims + ctrl}, "plan bits")
+        for d in dims:
+            _require(plan_bits.get(d.name, 0) <= d.bits,
+                     "plan bits %s must be at most %d" % (d.name, d.bits))
         return Encoding(dims, ctrl, cap=cfg["cap"], level_order=order), comps
     except CapacityError:
         raise
@@ -353,29 +361,10 @@ def _start_output(cfg):
 def cmd_abstract(cfg):
     """Build every dynamics component's interface, then write one
     interface file per component."""
-    enc, comps = build_system(cfg)
-    if comps is None:
-        raise ConfigError(
-            "custom systems have no evaluator; supply interface files "
-            "to `solve` instead")
-    plan = build_plan(cfg)
-    m = enc.m
-    built = []
-    # keep the interfaces built so far and free the rest after each
-    # component, not once after all of them as `_build` does: one sweep
-    # raised this command's own peak from 34.5 to 39.2 MB (6-bit
-    # random_rects 8000) and from 19.7 to 20.8 MB (7-bit exhaustive),
-    # while a sweep per component cost the solving commands 7-9% CPU
-    for c in comps:
-        t0 = time.perf_counter()
-        f = traverse(c, plan, enc)
-        built.append((c, f, time.perf_counter() - t0))
-        if f.pred == m.false:
-            print("warning: component %s abstracted to bottom "
-                  "(no samples accepted)" % c.name, file=sys.stderr)
-        m.sweep([g.pred for _, g, _ in built])
+    enc, comps = _setup(cfg, "abstract")
+    interfaces, seconds = _build(enc, comps, [build_plan(cfg)] * len(comps))
     out = _start_output(cfg)
-    for c, f, build_s in built:
+    for c, f, build_s in zip(comps, interfaces, seconds):
         meta = {
             "component": c.name,
             "output": c.output,
@@ -391,7 +380,7 @@ def cmd_abstract(cfg):
         with open(path, "w") as fh:
             save_interface(f, fh, meta=meta)
         print("wrote %s (%d nodes, %.2fs)"
-              % (path, m.node_count(f.pred), build_s))
+              % (path, enc.m.node_count(f.pred), build_s))
 
 
 def _load_components(enc, paths):
@@ -468,7 +457,7 @@ def _write_slices(enc, runs, out):
 
 
 def _setup(cfg, what):
-    """Encoding, dynamics components and goal of the configured system.
+    """Encoding and dynamics components of the configured system.
 
     `what` names the run if it samples the dynamics itself, which a
     custom system (no evaluator) cannot do, and is None if it reads
@@ -476,19 +465,32 @@ def _setup(cfg, what):
     """
     enc, comps = build_system(cfg)
     if what is not None and comps is None:
-        raise ConfigError("%s needs a built-in system" % what)
-    return enc, comps, build_goal(cfg, enc)
+        raise ConfigError(
+            "%s needs a built-in system: custom systems have no evaluator, "
+            "so supply interface files to `solve` instead" % what)
+    return enc, comps
 
 
-def _build(enc, comps, plans, goal):
-    """The interface of each component under its plan, built on a store
-    swept down to the goal and the protected handles, and swept again
-    after the builds, so a solve starts with none of their garbage."""
+def _build(enc, comps, plans, keep=()):
+    """The interface of each component under its plan, and each build's
+    seconds.  The store is swept down to `keep` and the protected
+    handles before the first build, and after each build down to those
+    and the interfaces built so far, so no build's garbage outlives it.
+    A component abstracted to bottom (no sample accepted) is warned of.
+    """
     m = enc.m
-    m.sweep([goal])
-    interfaces = [traverse(c, p, enc) for c, p in zip(comps, plans)]
-    m.sweep([f.pred for f in interfaces] + [goal])
-    return interfaces
+    m.sweep(keep)
+    interfaces, seconds = [], []
+    for c, plan in zip(comps, plans):
+        t0 = time.perf_counter()
+        f = traverse(c, plan, enc)
+        seconds.append(time.perf_counter() - t0)
+        interfaces.append(f)
+        if f.pred == m.false:
+            print("warning: component %s abstracted to bottom "
+                  "(no samples accepted)" % c.name, file=sys.stderr)
+        m.sweep([*keep, *(g.pred for g in interfaces)])
+    return interfaces, seconds
 
 
 def solve_game(cfg, enc, interfaces, goal, **solver):
@@ -512,12 +514,11 @@ def solve_game(cfg, enc, interfaces, goal, **solver):
 
 def cmd_solve(cfg, files=()):
     """Solve the configured game; write winning set, controller, trace."""
-    enc, comps, goal = _setup(cfg, None if files else
-                              "solve without interface files")
-    if files:
-        interfaces = _load_components(enc, files)
-    else:
-        interfaces = _build(enc, comps, [build_plan(cfg)] * len(comps), goal)
+    enc, comps = _setup(cfg, None if files else
+                        "solve without interface files")
+    goal = build_goal(cfg, enc)
+    interfaces = (_load_components(enc, files) if files else _build(
+        enc, comps, [build_plan(cfg)] * len(comps), [goal])[0])
     res, basin, _ = solve_game(cfg, enc, interfaces, goal)
     goal_states = enc.count_states(goal)
     out = _start_output(cfg)
@@ -546,11 +547,9 @@ def cmd_solve(cfg, files=()):
 # Every experiment solves the configured objective with the configured
 # solver (`solve_game`); only what it varies differs from `solve`.
 
-def experiment_basin_vs_samples(cfg):
+def experiment_basin_vs_samples(cfg, enc, comps, goal, counts):
     """Basin growth with random sample count, against the exhaustive
     reference (the rising curve with its upper bound)."""
-    counts = _walk(cfg["experiment"], _EXPERIMENT, "experiment")["counts"]
-    enc, comps, goal = _setup(cfg, "basin_vs_samples")
     runs = [("random", n, [RandomRects(n, seed=cfg["seed"] + i)
                            for i in range(len(comps))]) for n in counts]
     runs.append(("exhaustive", "", [Exhaustive()] * len(comps)))
@@ -558,7 +557,7 @@ def experiment_basin_vs_samples(cfg):
     results = {}
     for kind, count, plans in runs:
         # the earlier solves protected their results
-        interfaces = _build(enc, comps, plans, goal)
+        interfaces = _build(enc, comps, plans, [goal])[0]
         res, basin, seconds = solve_game(cfg, enc, interfaces, goal)
         rows.append((kind, count, basin,
                      enc.m.node_count(res.winning.pred), seconds))
@@ -575,14 +574,12 @@ _VARIANTS = (
 )
 
 
-def experiment_decomp_vs_mono(cfg):
+def experiment_decomp_vs_mono(cfg, enc, comps, goal):
     """Solve the same game under every grouping of the components, from
     one monolithic relation to the fully decomposed set."""
-    _check_keys(cfg["experiment"], (), "experiment")
-    enc, comps, goal = _setup(cfg, "decomp_vs_mono")
     _require({c.name for c in comps} == {"px", "py", "theta"},
              "decomp_vs_mono needs the dubins system")
-    built = _build(enc, comps, [build_plan(cfg)] * len(comps), goal)
+    built = _build(enc, comps, [build_plan(cfg)] * len(comps), [goal])[0]
     parts = {c.name: f for c, f in zip(comps, built)}
     # a solve frees what its own game does not reach, and the monolithic
     # game reaches none of the parts the later groupings compose
@@ -606,17 +603,15 @@ def experiment_decomp_vs_mono(cfg):
     return rows, results
 
 
-def experiment_greedy_cap(cfg):
+def experiment_greedy_cap(cfg, enc, comps, goal):
     """Solves with and without the node-count cap; a capped reach basin
     must stay under the exact one."""
-    _check_keys(cfg["experiment"], (), "experiment")
     # the capped solve is the configured one with a threshold, which a
     # downsample schedule would ignore
     _require(cfg["solver"]["downsample"] is None,
              "greedy_cap cannot run under a downsample schedule")
     threshold = cfg["solver"]["coarsen_threshold"] or 3000
-    enc, comps, goal = _setup(cfg, "greedy_cap")
-    interfaces = _build(enc, comps, [build_plan(cfg)] * len(comps), goal)
+    interfaces = _build(enc, comps, [build_plan(cfg)] * len(comps), [goal])[0]
     rows = []
     results = {}
     for variant, thr in (("exact", None), ("capped", threshold)):
@@ -627,13 +622,16 @@ def experiment_greedy_cap(cfg):
     return rows, results, threshold
 
 
+# each experiment's function, CSV header and the table of the
+# `experiment` keys it reads; the function takes the configuration, the
+# encoding, the components and the goal, then those keys by name
 EXPERIMENTS = {
     "basin_vs_samples": (experiment_basin_vs_samples,
-                         "plan,samples,basin,nodes,seconds"),
+                         "plan,samples,basin,nodes,seconds", _EXPERIMENT),
     "decomp_vs_mono": (experiment_decomp_vs_mono,
                        "variant,basin,nodes,seconds,compose_seconds,"
-                       "iterations"),
-    "greedy_cap": (experiment_greedy_cap, "variant," + _TRACE_HEADER),
+                       "iterations", {}),
+    "greedy_cap": (experiment_greedy_cap, "variant," + _TRACE_HEADER, {}),
 }
 
 
@@ -641,8 +639,10 @@ def cmd_experiment(name, cfg):
     if name not in EXPERIMENTS:
         raise ConfigError("unknown experiment %r (have: %s)"
                           % (name, ", ".join(sorted(EXPERIMENTS))))
-    fn, header = EXPERIMENTS[name]
-    outcome = fn(cfg)
+    fn, header, table = EXPERIMENTS[name]
+    params = _walk(cfg["experiment"], table, "experiment")
+    enc, comps = _setup(cfg, name)
+    outcome = fn(cfg, enc, comps, build_goal(cfg, enc), **params)
     rows = outcome[0]
     path = os.path.join(_start_output(cfg), "%s.csv" % name)
     _write_csv(path, header, rows)

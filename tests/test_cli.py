@@ -419,16 +419,22 @@ def test_run_repeats_from_its_own_config(tmp_path):
         == (tmp_path / "run" / "winning_cells.csv").read_text()
 
 
-@pytest.mark.parametrize("count", ["x", -5])
-def test_plan_count_is_checked_without_a_build(tmp_path, count):
+@pytest.mark.parametrize("plan", [
+    pytest.param({"kind": "random_rects", "count": "x"}, id="x"),
+    pytest.param({"kind": "random_rects", "count": -5}, id="-5"),
+    pytest.param({"kind": "shifted_grids", "sizes": [0]}, id="size-0"),
+    pytest.param({"kind": "exhaustive", "bits": {"px": 9}}, id="bits-px-9"),
+])
+def test_plan_count_is_checked_without_a_build(tmp_path, plan):
     """`solve` from interface files builds no plan, and still rejects a
-    bad plan count before it writes anything."""
+    bad plan (a count, a grid size, or plan bits finer than the grid)
+    before it writes anything."""
     cfg = write_config(tmp_path / "c.yaml", out=str(tmp_path / "abs"))
     assert main(["abstract", "--config", cfg]) == 0
     files = [str(tmp_path / "abs" / ("interface_%s.txt" % n))
              for n in ("px", "py", "theta")]
     bad = write_config(tmp_path / "b.yaml", out=str(tmp_path / "run"),
-                       plan={"kind": "random_rects", "count": count})
+                       plan=plan)
     assert main(["solve", "--config", bad] + files) == 2
     assert not os.path.exists(tmp_path / "run")
 
@@ -503,6 +509,9 @@ def test_plan_bits_may_name_one_component_input(tmp_path):
                        plan={"kind": "exhaustive", "bits": {"pz": 2}},
                        out=str(tmp_path / "pz"))
     assert main(["abstract", "--config", cfg]) == 2
+    # a control may be named too, though it has no grid to coarsen
+    build_system(load_config(write_config(
+        tmp_path / "v.yaml", plan={"kind": "exhaustive", "bits": {"v": 5}})))
 
 
 def test_bits_mismatch_between_files_and_config(tmp_path):
@@ -759,14 +768,20 @@ def test_experiment_basin_vs_samples_monotone(tmp_path):
         (meta["basin_states"], enc.m.node_count(winning.pred))
 
 
-def test_experiment_basin_vs_samples_frees_earlier_counts(tmp_path,
-                                                         monkeypatch):
-    """Each count builds on a store that holds only the goal, the
-    results of the solves before it and the constants."""
-    cfg = load_config(write_config(tmp_path / "c.yaml", bits=4,
-                                   experiment={"counts": [10, 40, 160]},
-                                   out=str(tmp_path / "r")))
-    goals, stores = [], []
+@pytest.mark.parametrize("command, rounds", [
+    (["abstract"], 1),
+    (["solve"], 1),
+    (["experiment", "basin_vs_samples"], 4),
+], ids=["abstract", "solve", "basin_vs_samples"])
+def test_each_build_starts_on_a_swept_store(tmp_path, monkeypatch, command,
+                                            rounds):
+    """Before each component's build the store holds only the interfaces
+    built so far, the goal where there is one, the protected handles
+    (the results of earlier solves) and the constants."""
+    cfg = write_config(tmp_path / "c.yaml", bits=4, images=False,
+                       experiment={"counts": [10, 40, 160]},
+                       out=str(tmp_path / "r"))
+    goals, built, stores = [], [], []
     build_goal, traverse = cli.build_goal, cli.traverse
 
     def keep_goal(cfg, enc):
@@ -774,17 +789,21 @@ def test_experiment_basin_vs_samples_frees_earlier_counts(tmp_path,
         return goals[-1]
 
     def check_store(c, plan, enc):
-        if c.name == "px":  # the first build of a count
-            m = enc.m
-            stores.append(
-                (m.size, len(m._reach([*goals, *m._protected])) + 2))
-        return traverse(c, plan, enc)
+        if c.name == "px":  # the first build of a round
+            built.clear()
+        m = enc.m
+        stores.append((c.name, m.size,
+                       len(m._reach([*goals, *built, *m._protected])) + 2))
+        f = traverse(c, plan, enc)
+        built.append(f.pred)
+        return f
     monkeypatch.setattr(cli, "build_goal", keep_goal)
     monkeypatch.setattr(cli, "traverse", check_store)
-    rows = cmd_experiment("basin_vs_samples", cfg)[0]
-    assert len(goals) == 1 and len(stores) == len(rows) == 4
-    for size, kept in stores:
-        assert size == kept
+    assert main(command + ["--config", cfg]) == 0
+    assert len(goals) == (0 if command == ["abstract"] else 1)
+    assert len(stores) == 3 * rounds
+    for name, size, kept in stores:
+        assert size == kept, name
 
 
 def test_experiment_greedy_cap_rows(tmp_path):
@@ -865,18 +884,20 @@ def test_custom_system_cannot_sample_its_dynamics(tmp_path, capsys, command,
 
 
 def test_component_abstracted_to_bottom_warns(tmp_path, capsys):
-    """With no samples every component is bottom: `abstract` warns once
-    per component and still writes the files."""
+    """With no samples every component is bottom: every command that
+    builds warns once per component, and `abstract` still writes the
+    files."""
     cfg = write_config(tmp_path / "c.yaml",
                        plan={"kind": "random_rects", "count": 0},
-                       out=str(tmp_path / "abs"))
-    capsys.readouterr()
-    assert main(["abstract", "--config", cfg]) == 0
-    warnings = [ln for ln in capsys.readouterr().err.splitlines()
-                if ln.startswith("warning:")]
-    assert warnings == ["warning: component %s abstracted to bottom "
-                        "(no samples accepted)" % name
-                        for name in ("px", "py", "theta")]
+                       images=False, out=str(tmp_path / "abs"))
+    for command in (["abstract"], ["solve"], ["experiment", "greedy_cap"]):
+        capsys.readouterr()
+        assert main(command + ["--config", cfg]) == 0, command
+        warnings = [ln for ln in capsys.readouterr().err.splitlines()
+                    if ln.startswith("warning:")]
+        assert warnings == ["warning: component %s abstracted to bottom "
+                            "(no samples accepted)" % name
+                            for name in ("px", "py", "theta")], command
     for name in ("px", "py", "theta"):
         text = (tmp_path / "abs" / ("interface_%s.txt" % name)).read_text()
         assert text.splitlines()[-1] == "root 0"
