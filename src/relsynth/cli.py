@@ -31,7 +31,7 @@ from relsynth.abstraction import (DUBINS_LENGTH, DynamicsComponent,
 from relsynth.bdd import BddError, CapacityError, OrderError
 from relsynth.games import Game, downsample_schedule, solve
 from relsynth.interfaces import comp, load_interface, save_interface
-from relsynth.spaces import Dimension, Encoding
+from relsynth.spaces import Dimension, Encoding, _finite
 
 
 class ConfigError(Exception):
@@ -97,14 +97,6 @@ def _int(lo=-math.inf, hi=math.inf):
 _ANY_INT, _NONNEG, _BITS = _int(), _int(0), _int(1, 24)
 
 
-def _real(x):
-    """A number that converts to a finite float, and not a boolean."""
-    try:
-        return not isinstance(x, bool) and math.isfinite(x)
-    except (TypeError, OverflowError):
-        return False
-
-
 def _opt(pred):
     return lambda x: x is None or pred(x)
 
@@ -165,7 +157,7 @@ _OBJECTIVE = {
     "kind": ("reach", _choice("reach", "safe")),
     "box": ({"px": [-0.5, 0.5], "py": [-0.5, 0.5]},
             _is(_map(lambda iv: isinstance(iv, list) and len(iv) == 2
-                     and all(map(_real, iv))),
+                     and all(map(_finite, iv))),
                 "a mapping of names to [lo, hi] with finite numbers")),
     "encode": ("inner", _choice("inner", "outer")),
 }
@@ -199,7 +191,7 @@ _KEYS = {
     "bits": (7, _is(lambda x: _BITS(x) or _map(_BITS)(x),
                     "an integer in 1..24 or a mapping of names to such "
                     "integers")),
-    "length": (DUBINS_LENGTH, _is(lambda x: _real(x) and x > 0,
+    "length": (DUBINS_LENGTH, _is(lambda x: _finite(x) and x > 0,
                                   "a positive number")),
     "view": (None, _BIT_MAP),
     "dims": (None, _entries(_DIM)),

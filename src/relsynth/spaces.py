@@ -41,9 +41,13 @@ def _snap(t, rounding, eps=1e-9):
 
 
 def _finite(x):
-    """A finite real number, and not a boolean."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) \
-        and math.isfinite(x)
+    """A finite real number, and not a boolean; an integer beyond the
+    float range is not one."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) \
+            and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,10 @@ def cell_box(dim, idx):
 
 
 def point_cell(dim, x):
-    """Cell index containing point `x` (half-open cells)."""
+    """Cell index containing the finite point `x` (half-open cells); a
+    discrete dimension's value matches within a relative 1e-9."""
+    if not _finite(x):
+        raise BddError("point %r is not a finite number" % (x,))
     if dim.is_discrete:
         for i, v in enumerate(dim.values):
             if abs(x - v) <= 1e-9 * max(1.0, abs(v)):
@@ -144,25 +151,6 @@ def point_cell(dim, x):
     elif not dim.lo <= x <= dim.hi:
         raise BddError("point %r outside [%r, %r]" % (x, dim.lo, dim.hi))
     return min(int((x - dim.lo) / dim.width), dim.cells - 1)
-
-
-def value_cell(dim, v):
-    """Index of an exact discrete value."""
-    if not dim.is_discrete:
-        raise BddError("value_cell needs a discrete dimension")
-    return point_cell(dim, v)
-
-
-def encode_cell(m, dim, idx, bit_vars):
-    """Minterm of cell `idx` over `bit_vars` (msb first)."""
-    if not 0 <= idx < dim.cells:
-        raise BddError("cell index %d out of range for %s" % (idx, dim.name))
-    if len(bit_vars) != dim.bits:
-        raise BddError("%s needs %d bit variables, got %d"
-                       % (dim.name, dim.bits, len(bit_vars)))
-    b = dim.bits
-    return m.cube({v: bool((idx >> (b - 1 - k)) & 1)
-                   for k, v in enumerate(bit_vars)})
 
 
 def code_range(m, bit_vars, a, b):
@@ -249,7 +237,7 @@ def encode_set(m, dim, interval, bit_vars, mode="inner"):
         f = m.false
         for i, v in enumerate(dim.values):
             if a <= v <= b:
-                f = m.apply("or", f, encode_cell(m, dim, i, bit_vars))
+                f = m.apply("or", f, code_range(m, bit_vars, i, i))
         return f
     if not dim.periodic:
         if a > b:
@@ -264,13 +252,6 @@ def encode_set(m, dim, interval, bit_vars, mode="inner"):
         return code_range(m, bit_vars, i, j)
     return m.apply("or", code_range(m, bit_vars, i, dim.cells - 1),
                    code_range(m, bit_vars, 0, j - dim.cells))
-
-
-def discrete_domain_predicate(m, dim, bit_vars):
-    """Codes that name actual values of a discrete dimension."""
-    if not dim.is_discrete:
-        raise BddError("domain predicate needs a discrete dimension")
-    return code_range(m, bit_vars, 0, len(dim.values) - 1)
 
 
 def quantizer(m, fine_vars, coarse_vars, keep, input_side="coarse"):
@@ -383,8 +364,8 @@ class Encoding:
         f = self.m.true
         for d in self.control_dims:
             if d.is_discrete:
-                f = self.m.apply("and", f, discrete_domain_predicate(
-                    self.m, d, self._control_vars[d.name]))
+                f = self.m.apply("and", f, code_range(
+                    self.m, self._control_vars[d.name], 0, d.cells - 1))
         return f
 
     def state_box(self, box, mode="inner", role="state"):

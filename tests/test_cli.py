@@ -948,12 +948,15 @@ def test_custom_system_solves_from_files(tmp_path):
     ({}, {"values": ["a", "b"]}),
     ({}, {"values": "ab"}),
     ({}, {"values": [True, 2.0]}),
+    ({"hi": 10 ** 400}, {}),
+    ({}, {"values": [0.0, 10 ** 400]}),
 ])
 def test_custom_entries_need_typed_fields(tmp_path, dim, control):
     """A custom dim needs an integer `bits` in 1..24 (not a boolean),
     finite numbers `lo` < `hi` and a boolean `periodic`; a control needs
-    a nonempty list of numbers.  Anything else is a configuration error
-    before any output is written."""
+    a nonempty list of finite numbers.  An integer too large for a float
+    is not finite.  Anything else is a configuration error before any
+    output is written."""
     custom = {"system": "custom",
               "dims": [dict({"name": "x", "lo": 0.0, "hi": 1.0, "bits": 3},
                             **dim)],

@@ -9,9 +9,7 @@ import pytest
 from relsynth.bdd import BDD, BddError
 from relsynth.interfaces import is_refinement
 from relsynth.spaces import (Dimension, Encoding, cell_box, cell_range,
-                             code_range, discrete_domain_predicate,
-                             encode_cell, encode_set, point_cell, quantizer,
-                             value_cell)
+                             code_range, encode_set, point_cell, quantizer)
 from util import build_expr, rand_expr
 
 
@@ -122,25 +120,22 @@ def test_point_cell_periodic_wraps():
     assert point_cell(d, -math.pi) == 0
     assert point_cell(d, 3 * math.pi / 4 + 0.01) == 7
     assert point_cell(d, 2 * math.pi - 0.01) == point_cell(d, -0.01)
+    # no wrap for a point that is no finite number
+    for x in (float("nan"), float("inf"), -float("inf"), 10 ** 400):
+        with pytest.raises(BddError):
+            point_cell(d, x)
 
 
-def test_encode_cell_msb_first():
-    d = Dimension.continuous("x", 0.0, 1.0, 2)
+def test_cell_code_is_msb_first():
+    """The code of one cell is a single state, its index msb-first."""
     m = BDD(["x0", "x1"])
-    f = encode_cell(m, d, 2, ["x0", "x1"])  # binary 10: msb set
+    f = code_range(m, ["x0", "x1"], 2, 2)  # binary 10: msb set
     assert f == m.apply("and", m.var("x0"), m.apply("not", m.var("x1")))
-    with pytest.raises(BddError):
-        encode_cell(m, d, 4, ["x0", "x1"])
-    with pytest.raises(BddError):
-        encode_cell(m, d, 1, ["x0"])
-
-
-def test_encode_decode_identity():
     d = Dimension.continuous("x", -1.0, 3.0, 4)
     m = BDD(["x%d" % k for k in range(4)])
     vs = bits_vars(m, d)
     for i in range(d.cells):
-        f = encode_cell(m, d, i, vs)
+        f = code_range(m, vs, i, i)
         assert m.sat_count(f, vs) == 1
         mid = sum(cell_box(d, i)) / 2
         assert point_cell(d, mid) == i
@@ -380,17 +375,9 @@ def test_encode_set_discrete():
     d = Dimension.discrete("u", [-1.5, 0.0, 1.5])
     f = encode_set(m, d, (-0.1, 2.0), ["u0", "u1"])
     assert pred_cells(m, d, ["u0", "u1"], f) == {1, 2}
-    assert value_cell(d, 1.5) == 2
+    assert point_cell(d, 1.5) == 2
     with pytest.raises(BddError):
-        value_cell(d, 0.7)
-
-
-def test_discrete_domain_predicate():
-    m = BDD(["u0", "u1"])
-    d = Dimension.discrete("u", [-1.5, 0.0, 1.5])
-    dom = discrete_domain_predicate(m, d, ["u0", "u1"])
-    assert m.sat_count(dom, ["u0", "u1"]) == 3
-    assert pred_cells(m, d, ["u0", "u1"], dom) == {0, 1, 2}
+        point_cell(d, 0.7)
 
 
 def test_quantizer_identity_and_top():
@@ -547,5 +534,7 @@ def test_encoding_assignments():
     assert uasg == {"v_0": True}
     odd = Dimension.discrete("w", [1.0, 2.0, 3.0])
     enc2 = Encoding([px], [odd])
-    assert enc2.m.sat_count(enc2.control_domain(),
-                            enc2.all_control_vars) == 3
+    # three values in two bits: the domain holds codes 0..2, not 3
+    dom = enc2.control_domain()
+    assert enc2.m.sat_count(dom, enc2.all_control_vars) == 3
+    assert pred_cells(enc2.m, odd, enc2.all_control_vars, dom) == {0, 1, 2}

@@ -69,6 +69,27 @@ def test_child_stats_runs_and_compares(tmp_path, trees, config, code):
         assert proc.stdout.splitlines()[-1] == "outputs: identical"
 
 
+def test_child_stats_normalizes_only_the_timing(tmp_path):
+    """`normalized` drops the seconds of a `meta:` line and of a CSV,
+    and keeps every other field, so a changed stop or plan shows."""
+    norm = load_tool("child_stats").normalized
+    meta = 'meta: {"build_seconds": %s, "plan": "%s", "stop": "%s"}\n'
+    paths = []
+    for k, (secs, plan, stop) in enumerate([
+            (0.5, "a", "fixpoint"), (0.7, "a", "fixpoint"),
+            (0.5, "b", "fixpoint"), (0.5, "a", "budget")]):
+        paths.append(tmp_path / ("f%d.txt" % k))
+        paths[-1].write_text("inputs: x\n" + meta % (secs, plan, stop))
+    assert norm(str(paths[0])) == norm(str(paths[1]))
+    assert norm(str(paths[0])) != norm(str(paths[2]))
+    assert norm(str(paths[0])) != norm(str(paths[3]))
+    for k, row in enumerate(["1,0.25,7", "1,0.5,7", "1,0.25,8"]):
+        (tmp_path / ("t%d.csv" % k)).write_text(
+            "iter,seconds,nodes\n%s\n" % row)
+    t = [norm(str(tmp_path / ("t%d.csv" % k))) for k in range(3)]
+    assert t[0] == t[1] != t[2]
+
+
 def test_package_version_matches_pyproject():
     """Every output records `__version__`, so it must be the version the
     package is installed as.  A regex, since `tomllib` needs 3.11."""

@@ -19,9 +19,10 @@ counts the peak of the process that spawned the child.
 
 Prints one line per run, then the medians per tree, then byte-compares
 every run's output directory with the first run's.  The comparison
-ignores `meta:` lines (they hold build seconds) and CSV columns named
-`seconds` or `*_seconds`.  Exits 1 if a child fails or an output
-differs.  Standard library only; the launcher never imports relsynth.
+ignores the `*_seconds` keys of `meta:` lines (build seconds) and CSV
+columns named `seconds` or `*_seconds`.  Exits 1 if a child fails or an
+output differs.  Standard library only; the launcher never imports
+relsynth.
 """
 
 import argparse
@@ -70,12 +71,23 @@ def run_child(tree, command, run_dir):
     return report
 
 
+def _untimed(line):
+    """A `meta:` line without the `*_seconds` keys of its JSON object;
+    any other line as it is."""
+    if not line.startswith(b"meta:"):
+        return line
+    meta = json.loads(line[len(b"meta:"):])
+    return b"meta: " + json.dumps(
+        {k: v for k, v in meta.items() if not k.endswith("_seconds")},
+        sort_keys=True).encode()
+
+
 def normalized(path):
-    """The bytes of an output file without its timing: `meta:` lines
-    dropped, and in a CSV the `seconds` and `*_seconds` columns."""
+    """The bytes of an output file without its timing: the `*_seconds`
+    keys of `meta:` lines dropped, and in a CSV the `seconds` and
+    `*_seconds` columns."""
     with open(path, "rb") as fh:
-        lines = [line for line in fh.read().split(b"\n")
-                 if not line.startswith(b"meta:")]
+        lines = [_untimed(line) for line in fh.read().split(b"\n")]
     if path.endswith(".csv") and lines:
         keep = [i for i, col in enumerate(lines[0].split(b","))
                 if col != b"seconds" and not col.endswith(b"_seconds")]
