@@ -126,11 +126,16 @@ def test_point_cell_periodic_wraps():
             point_cell(d, x)
 
 
-def test_cell_code_is_msb_first():
+def test_encode_cell_msb_first():
     """The code of one cell is a single state, its index msb-first."""
     m = BDD(["x0", "x1"])
     f = code_range(m, ["x0", "x1"], 2, 2)  # binary 10: msb set
     assert f == m.apply("and", m.var("x0"), m.apply("not", m.var("x1")))
+    # a code beyond the bits names no state
+    assert code_range(m, ["x0", "x1"], 4, 4) == m.false
+
+
+def test_encode_decode_identity():
     d = Dimension.continuous("x", -1.0, 3.0, 4)
     m = BDD(["x%d" % k for k in range(4)])
     vs = bits_vars(m, d)
@@ -378,6 +383,17 @@ def test_encode_set_discrete():
     assert point_cell(d, 1.5) == 2
     with pytest.raises(BddError):
         point_cell(d, 0.7)
+
+
+def test_discrete_domain_predicate():
+    """A discrete control's domain holds the codes of its values only."""
+    px = Dimension.continuous("x", 0.0, 1.0, 2)
+    d = Dimension.discrete("u", [-1.5, 0.0, 1.5])
+    enc = Encoding([px], [d])
+    vs = enc.all_control_vars
+    dom = enc.control_domain()
+    assert enc.m.sat_count(dom, vs) == 3
+    assert pred_cells(enc.m, d, vs, dom) == {0, 1, 2}
 
 
 def test_quantizer_identity_and_top():
