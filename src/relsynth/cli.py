@@ -209,6 +209,11 @@ _KEYS = {
 
 DEFAULTS = _walk({}, _KEYS, "")
 
+# the vehicle's block order, outermost first: the order whose 5-bit and
+# 6-bit reach solves create the fewest nodes of all 120 block orders, as
+# `tools/rank_orders.py` ranks them
+VEHICLE_ORDER = ("v", "omega", "theta", "py", "px")
+
 
 def load_config(path, overrides=None):
     """Parse, check and default-fill a run configuration.
@@ -262,9 +267,11 @@ def build_system(cfg):
     and exhaustive plan bits only its dimensions and controls, at most
     a dimension's own bits.
 
-    The vehicle's heading feeds all three components, so its block and
-    the controls sit above the position blocks in the variable order;
-    the other systems keep the declaration order.
+    The vehicle's blocks come in `VEHICLE_ORDER`, the order that
+    `tools/rank_orders.py` measures as creating the fewest nodes in a
+    reach solve: the controls, then the heading, which feeds all three
+    components, then the positions.  The other systems keep the
+    declaration order.
     """
     order = None
     try:
@@ -278,7 +285,7 @@ def build_system(cfg):
             ctrl = [Dimension.discrete("v", (0.25, 0.5)),
                     Dimension.discrete("omega", (-1.5, 0.0, 1.5))]
             comps = dubins_components(length=cfg["length"], view=cfg["view"])
-            order = ("theta", "v", "omega", "px", "py")
+            order = VEHICLE_ORDER
         elif cfg["system"] == "toy1d":
             dims = [Dimension.continuous("x", 0.0, 1.0, _dim_bits(cfg, "x"))]
             ctrl = [Dimension.discrete("u", (0.0, 1.0))]

@@ -13,9 +13,11 @@ from relsynth.abstraction import (DynamicsComponent, Exhaustive, RandomRects,
                                   dubins_components, iadd, icos, imul,
                                   isin, sample_to_interface, traverse)
 from relsynth.bdd import BddError
+from relsynth.cli import VEHICLE_ORDER
 from relsynth.interfaces import Interface, is_refinement, nb, refine
 from relsynth.spaces import (Dimension, Encoding, cell_box, cell_range,
                              code_range, encode_set, point_cell)
+from util import HAND_ORDER
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,6 +26,10 @@ def idx_assign(bit_vars, idx):
     """Assignment of `idx` over an msb-first bit vector."""
     return {v: bool((idx >> (len(bit_vars) - 1 - k)) & 1)
             for k, v in enumerate(bit_vars)}
+
+
+# the declaration order (None) and both vehicle orders
+LEVEL_ORDERS = (None, HAND_ORDER, VEHICLE_ORDER)
 
 
 def dubins_encoding(bits, cap=None, level_order=None):
@@ -427,13 +433,14 @@ def test_plan_validation():
 
 def test_traverse_equals_refine_fold():
     """The cell table matches folding refine over the oracle samples
-    from the universal abstraction: in both variable orders, on every
-    plan, with a view coarser than the plan's boxes, and with samples
-    whose successors leave the domain.  The plans take both rules: one
-    random box, one grid and plain `Exhaustive` are single blocks of
-    disjoint values, and plan bits finer than the view make a single
-    block that covers a cell with two values."""
-    for level_order in (None, ("theta", "v", "omega", "px", "py")):
+    from the universal abstraction: in the declaration order and both
+    vehicle orders, on every plan, with a view coarser than the plan's
+    boxes, and with samples whose successors leave the domain.  The
+    plans take both rules: one random box, one grid and plain
+    `Exhaustive` are single blocks of disjoint values, and plan bits
+    finer than the view make a single block that covers a cell with two
+    values."""
+    for level_order in LEVEL_ORDERS:
         enc = dubins_encoding(3, level_order=level_order)
         for view in (None, {"px": 2, "theta": 2}):
             comps = {c.name: c for c in dubins_components(view=view)}
@@ -456,11 +463,11 @@ def test_traverse_equals_refine_fold():
 
 def test_traverse_equals_refine_fold_at_four_bits():
     """Larger tables: random boxes, overlapping grids and plan bits that
-    give one value several cells, on every component, in both variable
-    orders, with and without a coarser view.  A single grid of 5 slices,
-    and plan bits finer than the view, are single blocks that cover a
-    cell with two values."""
-    for level_order in (None, ("theta", "v", "omega", "px", "py")):
+    give one value several cells, on every component, in the declaration
+    order and both vehicle orders, with and without a coarser view.  A
+    single grid of 5 slices, and plan bits finer than the view, are
+    single blocks that cover a cell with two values."""
+    for level_order in LEVEL_ORDERS:
         enc = dubins_encoding(4, level_order=level_order)
         for view in (None, {"px": 2, "theta": 3}):
             for comp in dubins_components(view=view):
@@ -473,9 +480,6 @@ def test_traverse_equals_refine_fold_at_four_bits():
                         comp.name, plan, view, level_order)
 
 
-VEHICLE_ORDER = ("theta", "v", "omega", "px", "py")
-
-
 def without_increment(comp):
     """`comp` built by its evaluator alone: the per-cell rule."""
     return dataclasses.replace(comp, increment=None)
@@ -483,12 +487,12 @@ def without_increment(comp):
 
 @pytest.mark.parametrize("bits", [3, 4, 5, 6, 7])
 def test_shift_path_equals_the_cell_table(bits):
-    """The shift relation is handle-equal to the per-cell table: in both
-    variable orders (the declaration order puts px and py above theta,
-    so they fall back), with coarser views of the positions, and with
+    """The shift relation is handle-equal to the per-cell table: in the
+    declaration order (it puts px and py above theta, so they fall back)
+    and both vehicle orders, with coarser views of the positions, and with
     plan bits coarser than the view (one value per two cells, so they
     fall back)."""
-    for level_order in (None, VEHICLE_ORDER):
+    for level_order in LEVEL_ORDERS:
         enc = dubins_encoding(bits, level_order=level_order)
         for view in (None, {"px": 2}, {"px": 3, "py": 3}):
             for comp in dubins_components(view=view):
@@ -527,15 +531,14 @@ def test_shift_path_falls_back_in_the_snap_gray_band(caplog):
 
 
 def test_vehicle_positions_take_the_shift_path():
-    """In the vehicle order px and py call their evaluator only on the
+    """In both vehicle orders px and py call their evaluator only on the
     cells that settle the ends of the unblocked run, at most 4 per
     (theta cell, v) key; in the declaration order they fall back and
     call it once per cell."""
-    enc = dubins_encoding(5, level_order=VEHICLE_ORDER)
-    plain = dubins_encoding(5)
     keys, cells = 32 * 2, 32
-    for comp in dubins_components()[:2]:
-        for e, most in ((enc, 4 * keys), (plain, cells * keys)):
+    for level_order in LEVEL_ORDERS:
+        e = dubins_encoding(5, level_order=level_order)
+        for comp in dubins_components()[:2]:
             calls = []
 
             def counted(box, _evaluator=comp.evaluator):
@@ -543,10 +546,10 @@ def test_vehicle_positions_take_the_shift_path():
                 return _evaluator(box)
             traverse(dataclasses.replace(comp, evaluator=counted),
                      Exhaustive(), e)
-            if e is enc:
-                assert 0 < len(calls) <= most, comp.name
+            if level_order is None:
+                assert len(calls) == cells * keys, comp.name
             else:
-                assert len(calls) == most, comp.name
+                assert 0 < len(calls) <= 4 * keys, (comp.name, level_order)
 
 
 def test_traverse_streams_the_plan(monkeypatch):
@@ -631,8 +634,9 @@ def test_disjoint_successors_block_a_covered_cell():
 
 def test_input_boxes_wrapping_the_seam_match_the_fold():
     """Random heading boxes run past pi and wrap on to -pi; the table
-    covers both ends of each, as the fold of the oracle samples does."""
-    for level_order in (None, ("theta", "v", "omega", "px", "py")):
+    covers both ends of each, as the fold of the oracle samples does, in
+    the declaration order and both vehicle orders."""
+    for level_order in LEVEL_ORDERS:
         enc = dubins_encoding(3, level_order=level_order)
         d = enc.dims["theta"]
         for comp in dubins_components():

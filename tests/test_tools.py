@@ -1,6 +1,7 @@
 """Smoke tests of the measuring scripts under `tools/`."""
 
 import importlib.util
+import itertools
 import os
 import re
 import subprocess
@@ -8,7 +9,9 @@ import sys
 
 import pytest
 
+import relsynth.cli as cli
 from relsynth import __version__
+from util import HAND_ORDER
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOLS = os.path.join(ROOT, "tools")
@@ -88,6 +91,46 @@ def test_child_stats_normalizes_only_the_timing(tmp_path):
             "iter,seconds,nodes\n%s\n" % row)
     t = [norm(str(tmp_path / ("t%d.csv" % k))) for k in range(3)]
     assert t[0] == t[1] != t[2]
+
+
+def test_rank_orders_pins_the_nodes_at_five_bits():
+    """The nodes a 5-bit reach solve creates are deterministic: the
+    CLI's block order creates fewer than the hand-picked order it
+    replaced, with the same basin."""
+    rows = load_tool("rank_orders").measure(5, [cli.VEHICLE_ORDER,
+                                                HAND_ORDER])
+    (new, _, new_basin), (old, _, old_basin) = rows
+    assert (new, old) == (35148, 41078)
+    assert new < old
+    assert new_basin == old_basin == 6080
+
+
+def test_rank_orders_prints_every_order_ranked(capsys):
+    """One line per block order, fewest nodes first, with the CLI's
+    order marked once, then the common basin."""
+    assert load_tool("rank_orders").main(["--bits", "3"]) == 0
+    head, *rows, tail = capsys.readouterr().out.splitlines()
+    assert head == "rank nodes seconds order"
+    found = [re.fullmatch(r"(\d+) (\d+) \d+\.\d{3} ([a-z,]+)( \*)?", row)
+             for row in rows]
+    assert all(found), rows
+    assert [int(f[1]) for f in found] == list(range(1, 121))
+    nodes = [int(f[2]) for f in found]
+    assert nodes == sorted(nodes)
+    orders = [tuple(f[3].split(",")) for f in found]
+    assert sorted(orders) == sorted(itertools.permutations(
+        ("px", "py", "theta", "v", "omega")))
+    assert [o for o, f in zip(orders, found) if f[4]] == [cli.VEHICLE_ORDER]
+    assert re.fullmatch(r"basin \d+ states in every order", tail)
+
+
+def test_rank_orders_fails_on_differing_basins(monkeypatch, capsys):
+    tool = load_tool("rank_orders")
+    monkeypatch.setattr(tool, "measure", lambda bits, orders: [
+        (k, 0.0, 6080 + (k == 7)) for k in range(len(orders))])
+    assert tool.main(["--bits", "3"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "basins differ: [6080, 6081]"
 
 
 def test_package_version_matches_pyproject():

@@ -4,6 +4,10 @@ import itertools
 
 from relsynth.interfaces import Interface, is_refinement, is_shared_refinable
 
+# the vehicle's hand-picked block order before `cli.VEHICLE_ORDER` was
+# measured; both put theta above px and py
+HAND_ORDER = ("theta", "v", "omega", "px", "py")
+
 
 def rand_expr(rng, names, n_ops=14):
     """Random expression tree over `names` as nested tuples."""
