@@ -420,12 +420,6 @@ def _write_csv(path, header, rows):
 _TRACE_HEADER = "iter,nodes,states,seconds,coarsen_events"
 
 
-def _trace_rows(trace):
-    """The `_TRACE_HEADER` columns of a solve's trace rows."""
-    return [(r.iteration, r.nodes, r.states, r.seconds, r.coarsen_events)
-            for r in trace.rows]
-
-
 def _write_slices(enc, runs, out):
     """One binary PGM per heading bin: white = winning (px across,
     py up).
@@ -521,8 +515,7 @@ def cmd_solve(cfg, files=()):
     res, basin, _ = solve_game(cfg, enc, interfaces, goal)
     goal_states = enc.count_states(goal)
     out = _start_output(cfg)
-    _write_csv(os.path.join(out, "trace.csv"), _TRACE_HEADER,
-               _trace_rows(res.trace))
+    _write_csv(os.path.join(out, "trace.csv"), _TRACE_HEADER, res.trace.rows)
     runs = enc.cell_runs(res.winning.pred)
     _write_csv(os.path.join(out, "winning_cells.csv"), "start,length", runs)
     run_meta = {"objective": cfg["objective"]["kind"],
@@ -617,7 +610,7 @@ def experiment_greedy_cap(cfg, enc, comps, goal):
         res = solve_game(cfg, enc, interfaces, goal,
                          coarsen_threshold=thr)[0]
         results[variant] = res
-        rows.extend((variant, *row) for row in _trace_rows(res.trace))
+        rows.extend((variant, *row) for row in res.trace.rows)
     return rows, results, threshold
 
 

@@ -25,9 +25,10 @@ abstracts (sits below) the original in the refinement order.
 
 A solve sweeps the node store between iterations.  It may free every
 node that is not reachable from its game (component predicates, their
-nonblocking sets, the goal), its iterates or a protected handle; the
-returned winning region and controller are protected.  Any other handle
-a caller keeps across a solve must be protected (`m.protect`) first.
+nonblocking sets, the goal), the current precision level's iterates or
+a protected handle; the returned winning region and controller are
+protected.  Any other handle a caller keeps across a solve must be
+protected (`m.protect`) first.
 
 The solver writes no files: it returns predicates and a trace, and the
 command line (`relsynth.cli`) decides every output format.
@@ -36,6 +37,7 @@ command line (`relsynth.cli`) decides every output format.
 import logging
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from relsynth.bdd import BddError
 from relsynth.interfaces import Interface, sink
@@ -126,10 +128,10 @@ def cpre(game, z):
     return m.exists(game.enc.all_control_vars, stage)
 
 
-@dataclass
-class TraceRow:
+class TraceRow(NamedTuple):
+    """One iteration, in the columns of `trace.csv`."""
+
     iteration: int
-    z: int
     nodes: int
     states: int
     seconds: float
@@ -168,14 +170,15 @@ def greedy_coarsen(game, z, node_threshold):
     Each step universally quantifies the least significant state bit the
     predicate still depends on, per dimension (so a coarse cell wins
     only when all its fine cells did), and keeps the dimension losing
-    the fewest states, ties to the earliest dimension.  Stops once the
-    node count is within `node_threshold` or the predicate no longer
-    depends on any state bit.  Returns (z, events).
+    the fewest states, ties to the earliest dimension.  In a reach game
+    no step may drop a goal state.  Stops once the node count is within
+    `node_threshold` or no step is left.  Returns (z, events).
     """
     m = game.m
     enc = game.enc
     events = 0
     xs = enc.all_state_vars
+    keep = game.goal if game.objective == "reach" else m.false
     nodes = m.node_count(z)
     while nodes > node_threshold:
         sup = m.support(z)
@@ -185,6 +188,8 @@ def greedy_coarsen(game, z, node_threshold):
             if not used:
                 continue
             trial = m.forall([used[-1]], z)
+            if not m.leq(keep, trial):
+                continue
             reward = m.sat_count(trial, xs)
             if best is None or reward > best[0]:
                 best = (reward, i, used[-1], trial)
@@ -225,11 +230,10 @@ def _iterate(game, levels, max_iters, coarsen_threshold=None):
             stage = _cpre_stage(sub, z)
             zn = m.apply(fuse, m.exists(us, stage), game.goal)
             events = 0
-            if coarsen_threshold is not None \
-                    and m.node_count(zn) > coarsen_threshold:
+            if coarsen_threshold is not None:
                 zn, events = greedy_coarsen(game, zn, coarsen_threshold)
             dt = time.perf_counter() - t0
-            row = TraceRow(len(trace.rows) + 1, zn, m.node_count(zn),
+            row = TraceRow(len(trace.rows) + 1, m.node_count(zn),
                            m.sat_count(zn, xs), dt, events)
             trace.rows.append(row)
             log.debug("iter %d: %d nodes, %d states, %.3fs, %d coarsenings",
@@ -243,12 +247,12 @@ def _iterate(game, levels, max_iters, coarsen_threshold=None):
                 break
             seen.add(z)
             if m.size > limit:
-                live, freed = m.sweep([r.z for r in trace.rows] + [stage]
-                                      + game.roots() + sub.roots())
+                live, freed = m.sweep([*seen, *game.roots(), *sub.roots()])
                 log.debug("sweep kept %d nodes, freed %d", live, freed)
                 limit = live + SWEEP_SLACK
         if trace.stop_reason != "fixed_point":
-            # any stage so far belongs to the iterate before `z`
+            # any stage so far belongs to the iterate before `z`, and a
+            # sweep may have freed it
             stage = _cpre_stage(sub, z)
             break
     m.protect(z)
@@ -264,8 +268,9 @@ def solve(game, max_iters=1_000_000, coarsen_threshold=None):
     coarsening threshold the winning region is greedily downsampled
     whenever it outgrows the node budget.  Coarsening keeps every
     iterate inside the exact winning region but can drop states an
-    earlier iterate had, so the iteration is no longer monotone and can
-    revisit an earlier iterate; it then stops with that iterate.
+    earlier iterate had (never a goal state), so the iteration is no
+    longer monotone and can revisit an earlier iterate; it then stops
+    with that iterate.
 
     Returns a `GameResult`; its trace rows record every iteration and
     `stop_reason` is 'fixed_point', 'cycle' or 'budget'.  The winning
@@ -274,9 +279,9 @@ def solve(game, max_iters=1_000_000, coarsen_threshold=None):
     once a caller is done comparing results.
 
     The solve may free every node that is not reachable from `game`,
-    its iterates or a protected handle.  Any other handle the caller
-    keeps across it, such as an interface or a goal meant for a later
-    game, must be protected first.
+    the current precision level's iterates or a protected handle.  Any
+    other handle the caller keeps across it, such as an interface or a
+    goal meant for a later game, must be protected first.
     """
     return _iterate(game, [game], max_iters, coarsen_threshold)
 

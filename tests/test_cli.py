@@ -14,7 +14,7 @@ import relsynth.games as games
 from relsynth.bdd import BDD
 from relsynth.cli import (ConfigError, build_system, cmd_experiment,
                           load_config, main)
-from relsynth.games import GameTrace, TraceRow
+from relsynth.games import TraceRow
 from relsynth.interfaces import load_interface
 from relsynth.spaces import Dimension, Encoding, code_range
 from util import HAND_ORDER
@@ -69,9 +69,8 @@ def test_toy_reach_writes_two_row_trace(tmp_path):
 def test_trace_csv_and_cell_runs(tmp_path):
     """One writer formats every CSV: floats as `%.6f`, the rest by str."""
     path = tmp_path / "out.csv"
-    tr = GameTrace([TraceRow(1, 0, 5, 12, 0.25, 0),
-                    TraceRow(2, 0, 7, 30, 1.5, 2)], "fixed_point")
-    cli._write_csv(path, cli._TRACE_HEADER, cli._trace_rows(tr))
+    cli._write_csv(path, cli._TRACE_HEADER, [TraceRow(1, 5, 12, 0.25, 0),
+                                             TraceRow(2, 7, 30, 1.5, 2)])
     assert path.read_text() == (
         "iter,nodes,states,seconds,coarsen_events\n"
         "1,5,12,0.250000,0\n"

@@ -7,7 +7,7 @@ import pytest
 import relsynth.games as games
 from relsynth.abstraction import Exhaustive, traverse
 from relsynth.bdd import BddError
-from relsynth.cli import DEFAULTS, build_system
+from relsynth.cli import DEFAULTS, build_goal, build_system
 from relsynth.games import (Game, coarsen_component, cpre,
                             downsample_schedule, greedy_coarsen, solve)
 from relsynth.interfaces import Interface, comp, ihide, is_refinement, ohide, sink
@@ -212,14 +212,17 @@ def test_reach_counter_fills_up_monotonically():
     m = enc.m
     f = table_component(enc, lambda x, u: [max(x - 1, 0)])
     goal = cells_pred(enc, "px", [0])
-    res = solve(Game(enc, [f], "reach", goal))
+    game = Game(enc, [f], "reach", goal)
+    res = solve(game)
     assert res.winning.pred == m.true
     assert res.trace.stop_reason == "fixed_point"
     assert res.iterations == 9
     states = [r.states for r in res.trace.rows]
     assert states == [1, 2, 3, 4, 5, 6, 7, 8, 8]
-    for prev, cur in zip(res.trace.rows, res.trace.rows[1:]):
-        assert m.leq(prev.z, cur.z)
+    # a solve stopped on its budget returns its last iterate
+    iterates = [solve(game, max_iters=k).winning.pred for k in range(1, 10)]
+    for prev, cur in zip(iterates, iterates[1:]):
+        assert m.leq(prev, cur)
 
 
 def test_reach_respects_demonic_nondeterminism():
@@ -338,6 +341,30 @@ def test_greedy_coarsen_breaks_ties_on_first_dimension():
     out, events = greedy_coarsen(game, z, 1)
     assert events == 1
     assert out == m.nvar("py_0")
+    # a reach game takes no step that drops a goal state; a safe game's
+    # goal filters nothing
+    goal = m.apply("and", cells_pred(enc, "px", [0]),
+                   cells_pred(enc, "py", [2]))
+    f = identity_component(enc)
+    out, events = greedy_coarsen(Game(enc, [f], "reach", goal), z, 1)
+    assert (out, events) == (m.nvar("px_0"), 1)
+    out, events = greedy_coarsen(Game(enc, [f], "safe", goal), z, 1)
+    assert (out, events) == (m.nvar("py_0"), 1)
+
+
+def test_coarsened_vehicle_reach_keeps_its_goal():
+    """At 3 bits a threshold of 8 nodes is below the goal's own size;
+    coarsening once emptied the first iterate and the solve stopped with
+    an empty basin, reported as a fixed point."""
+    cfg = dict(DEFAULTS, bits=3)
+    enc, comps = build_system(cfg)
+    m = enc.m
+    parts = [traverse(c, Exhaustive(), enc) for c in comps]
+    goal = build_goal(cfg, enc)
+    res = solve(Game(enc, parts, "reach", goal), coarsen_threshold=8)
+    assert m.leq(goal, res.winning.pred)
+    assert enc.count_states(res.winning.pred) == enc.count_states(goal) == 32
+    assert (res.iterations, res.trace.stop_reason) == (2, "fixed_point")
 
 
 def test_greedy_coarsen_result_is_subset():
@@ -357,30 +384,39 @@ def test_solve_with_coarsening_stays_inside_exact_basin():
     enc = counter_encoding(3)
     m = enc.m
     f = table_component(enc, lambda x, u: [max(x - 1, 0)])
-    goal = cells_pred(enc, "px", [0, 1])
-    exact = solve(Game(enc, [f], "reach", goal))
-    coarse = solve(Game(enc, [f], "reach", goal), coarsen_threshold=1)
-    assert m.leq(coarse.winning.pred, exact.winning.pred)
-    for row in coarse.trace.rows:
-        if row.coarsen_events:
-            assert row.nodes <= 1
+    # a coarsened row meets the threshold unless that needs dropping a
+    # goal state: cells 0-3 are one node, cells 0-1 two
+    for cells, cap in (([0, 1, 2, 3], 1), ([0, 1], 2)):
+        goal = cells_pred(enc, "px", cells)
+        exact = solve(Game(enc, [f], "reach", goal))
+        coarse = solve(Game(enc, [f], "reach", goal), coarsen_threshold=1)
+        assert m.leq(coarse.winning.pred, exact.winning.pred)
+        assert coarse.winning.pred == goal
+        assert any(row.coarsen_events for row in coarse.trace.rows)
+        for row in coarse.trace.rows:
+            if row.coarsen_events:
+                assert row.nodes <= cap
 
 
 def test_solve_with_coarsening_stops_on_cycle():
-    # greedy coarsening makes this reach iteration return to an earlier
-    # iterate; without the cycle stop it runs until the budget
-    enc = Encoding([Dimension.continuous("px", 0.0, 1.0, 3),
-                    Dimension.continuous("py", 0.0, 1.0, 2)],
-                   [Dimension.discrete("u", (0.0, 1.0))])
+    # from the goal {6, 7} the iteration adds cell 5, then cell 2; cells
+    # 2, 5, 6 and 7 take five nodes, and coarsening them to a threshold
+    # of 3 gives back the goal, an earlier iterate.  Without the cycle
+    # stop it runs until the budget
+    enc = counter_encoding(3)
     m = enc.m
-    xs, us, ns = enc.all_state_vars, enc.all_control_vars, enc.all_next_vars
-    rng = random.Random(13)
-    f = Interface(m, xs + us, ns, rand_pred(m, rng, xs + us + ns, 16))
-    game = Game(enc, [f], "reach", rand_pred(m, rng, xs, 6))
-    res = solve(game, max_iters=40, coarsen_threshold=1)
+    xs, us = enc.all_state_vars, enc.all_control_vars
+    f = table_component(enc, lambda x, u: [{2: 5, 5: 6}.get(x, x)])
+    goal = cells_pred(enc, "px", [6, 7])
+    game = Game(enc, [f], "reach", goal)
+    res = solve(game, max_iters=40, coarsen_threshold=3)
     assert res.trace.stop_reason == "cycle"
+    assert [r.states for r in res.trace.rows] == [2, 3, 2]
+    assert res.winning.pred == goal
     assert m.leq(res.winning.pred, solve(game).winning.pred)
-    assert res.trace.rows[-1].z == res.winning.pred
+    last = res.trace.rows[-1]
+    assert (last.nodes, last.states) == (m.node_count(res.winning.pred),
+                                         m.sat_count(res.winning.pred, xs))
     assert ihide(us, res.controller).pred == cpre(game, res.winning.pred)
 
 
@@ -463,6 +499,33 @@ def test_solve_results_do_not_depend_on_sweeps(monkeypatch):
         assert a.controller.pred == b.controller.pred
         assert [r.states for r in a.trace.rows] == \
             [r.states for r in b.trace.rows]
+
+
+def test_sweeps_keep_only_the_current_level(monkeypatch):
+    """Sweeping after every step, a schedule hands each sweep only the
+    current level's iterates and the handles of `game` and of the level's
+    own game: no earlier level's iterate and no cpre stage."""
+    enc, comps = build_system(dict(DEFAULTS, bits=4))
+    m = enc.m
+    parts = [traverse(c, Exhaustive(), enc) for c in comps]
+    target = m.protect(enc.state_box({"px": (-0.5, 0.5), "py": (-0.5, 0.5)}))
+    reach = Game(enc, parts, "reach", target)
+    steps, sweeps = [], []  # (level, iterate); (steps before, roots)
+    stage, sweep = games._cpre_stage, m.sweep
+    monkeypatch.setattr(games, "_cpre_stage", lambda sub, z: steps.append(
+        (sub, z)) or stage(sub, z))
+    monkeypatch.setattr(m, "sweep", lambda roots: sweeps.append(
+        (len(steps), set(roots))) or sweep(roots))
+    monkeypatch.setattr(games, "SWEEP_SLACK", 0)
+    downsample_schedule(reach, [2, 3, {}])
+    for n, roots in sweeps:
+        # the step after a sweep reads the iterate the sweep kept
+        sub = steps[n][0]
+        iterates = {z for level, z in steps[:n + 1] if level is sub}
+        assert roots <= iterates | set(reach.roots()) | set(sub.roots())
+    # the last level sweeps, with two levels' iterates before it
+    levels = list(dict.fromkeys(sub for sub, _ in steps))
+    assert len(levels) == 3 and steps[sweeps[-1][0]][0] is levels[-1]
 
 
 def test_game_validation():

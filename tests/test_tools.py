@@ -72,6 +72,21 @@ def test_child_stats_runs_and_compares(tmp_path, trees, config, code):
         assert proc.stdout.splitlines()[-1] == "outputs: identical"
 
 
+def test_child_stats_takes_a_relative_work_directory(tmp_path):
+    """Each child runs in its own run directory, so a relative `--work`
+    must still name the directory given from the launcher's."""
+    (tmp_path / "toy.yaml").write_text(
+        "system: toy1d\nobjective: {box: {x: [0.5, 1.0]}}\n")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "child_stats.py"), "-n", "1",
+         "--work", "runs", ROOT, "--", "solve", "--config", "toy.yaml"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    tree, run, code, hwm_mb = proc.stdout.splitlines()[1].split()[:4]
+    assert (tree, run, code) == ("A", "0", "0") and float(hwm_mb) > 0
+    assert (tmp_path / "runs" / "t0-r0" / "out" / "trace.csv").exists()
+
+
 def test_child_stats_normalizes_only_the_timing(tmp_path):
     """`normalized` drops the seconds of a `meta:` line and of a CSV,
     and keeps every other field, so a changed stop or plan shows."""

@@ -125,7 +125,9 @@ def main(argv=None):
     trees = [os.path.abspath(t) for t in args.trees]
     command = [os.path.abspath(a) if os.path.exists(a) else a
                for a in argv[split + 1:]]
-    work = args.work or tempfile.mkdtemp(prefix="child_stats-")
+    # absolute, because each child runs in its own run directory
+    work = os.path.abspath(args.work or tempfile.mkdtemp(
+        prefix="child_stats-"))
     os.makedirs(work, exist_ok=True)
     reports = [[] for _ in trees]
     first, failed = None, False
